@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
@@ -25,13 +25,14 @@ from ..machine.machine import Machine
 from ..observability.metrics import matrix_delta
 from ..observability.tracer import NullTracer, Tracer, active as active_tracer
 from ..schedulers.base import Scheduler
-from ..schedulers.list_scheduler import (
-    ListScheduler,
-    SchedulingError,
-    feasible_clusters,
-)
+from ..schedulers.list_scheduler import ListScheduler, SchedulingError
+
+# Importable here because perfbench/layers.py counts calls to it on every
+# module of the convergent path; extraction itself reads the mask.
+from ..schedulers.list_scheduler import feasible_clusters as feasible_clusters
 from ..schedulers.schedule import Schedule
 from .guard import PassGuard
+from .kernels import feasibility_mask
 from .metrics import ConvergenceTrace
 from .passes import PassContext, SchedulingPass, make_pass
 from .sequences import sequence_for_machine
@@ -249,7 +250,9 @@ class ConvergentScheduler(Scheduler):
         if budget is not None:
             budget.check("extract_assignment")
         with tracer.span("extract_assignment", region=region.name):
-            assignment = self.extract_assignment(matrix, region, machine)
+            assignment = self.extract_assignment(
+                matrix, region, machine, feasible=ctx.index.feasible
+            )
         prefer_times = self.use_preferred_times
         if prefer_times is None:
             prefer_times = machine.name.startswith("vliw")
@@ -275,38 +278,44 @@ class ConvergentScheduler(Scheduler):
 
     @staticmethod
     def extract_assignment(
-        matrix: PreferenceMatrix, region: Region, machine: Machine
+        matrix: PreferenceMatrix,
+        region: Region,
+        machine: Machine,
+        feasible: Optional[np.ndarray] = None,
     ) -> Dict[int, int]:
         """Preferred cluster per instruction, restricted to feasibility.
 
         The weight matrix *should* already respect hard constraints
         (INITTIME squashes infeasible clusters, PLACE boosts homes by
         x100), but extraction re-checks them so a mis-tuned pass
-        sequence can degrade performance, never correctness.
+        sequence can degrade performance, never correctness.  It is a
+        masked argmax over the cluster marginals: ties go to the lowest
+        feasible cluster.
 
         Args:
             matrix: The converged preference matrix.
             region: The region the matrix was built for.
             machine: The target machine (supplies feasibility).
+            feasible: The region's ``(N, C)`` feasibility mask
+                (``RegionIndex.feasible``); computed with
+                :func:`~repro.core.kernels.feasibility_mask` when omitted.
 
         Returns:
             Mapping from instruction uid to its assigned cluster index.
         """
-        marginals = matrix.cluster_marginals()
-        assignment: Dict[int, int] = {}
-        for inst in region.ddg:
-            feasible = feasible_clusters(inst, machine)
-            if not feasible:
-                raise SchedulingError(
-                    f"no feasible cluster for instruction {inst.uid} "
-                    f"({inst.opcode.name}) in region {region.name!r} on "
-                    f"machine {machine.name!r}: no cluster can execute "
-                    f"func class {inst.func_class.name}"
-                )
-            assignment[inst.uid] = max(
-                feasible, key=lambda c: (marginals[inst.uid][c], -c)
+        if feasible is None:
+            feasible = feasibility_mask(region.ddg, machine)
+        empty = np.flatnonzero(~feasible.any(axis=1))
+        if empty.size:
+            inst = region.ddg.instruction(int(empty[0]))
+            raise SchedulingError(
+                f"no feasible cluster for instruction {inst.uid} "
+                f"({inst.opcode.name}) in region {region.name!r} on "
+                f"machine {machine.name!r}: no cluster can execute "
+                f"func class {inst.func_class.name}"
             )
-        return assignment
+        masked = np.where(feasible, matrix.cluster_marginals(), -np.inf)
+        return dict(enumerate(np.argmax(masked, axis=1).tolist()))
 
     # ------------------------------------------------------------------
 

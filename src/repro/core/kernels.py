@@ -32,24 +32,13 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..ir.ddg import DataDependenceGraph
-from ..machine.machine import Machine
-from ..schedulers.list_scheduler import feasible_clusters
+from ..machine.machine import FUNC_CLASS_ROW, Machine
+
+# ``feasible_clusters`` is the scalar form of :func:`feasibility_mask`.
+# It stays importable here because perfbench/layers.py counts calls to
+# it on every module of the convergent path, this one included.
+from ..schedulers.list_scheduler import feasible_clusters as feasible_clusters
 from .weights import PreferenceMatrix
-
-try:  # Optional fast path; the numpy BFS below is the portable fallback.
-    from scipy.sparse import (  # type: ignore[import-untyped,import-not-found,unused-ignore]
-        csr_matrix as _scipy_csr,
-    )
-    from scipy.sparse.csgraph import (  # type: ignore[import-untyped,import-not-found,unused-ignore]
-        dijkstra as _scipy_dijkstra,
-    )
-except ImportError:  # pragma: no cover - exercised where scipy is absent
-    _scipy_csr = None
-    _scipy_dijkstra = None
-
-#: Largest region for which :func:`build_region_index` precomputes the
-#: dense all-pairs hop-distance matrix (``N^2`` int64 — 8 MB at the cap).
-_ALL_PAIRS_MAX_NODES = 1024
 
 
 # ----------------------------------------------------------------------
@@ -93,17 +82,12 @@ class RegionIndex:
         pseudo: ``(N,)`` bool mask of pseudo instructions.
         feasible: ``(N, C)`` bool mask — True where
             :func:`~repro.schedulers.list_scheduler.feasible_clusters`
-            allows the placement.
+            allows the placement (built by :func:`feasibility_mask`).
         reg_mask: ``(N,)`` bool mask of value-defining, non-pseudo
             instructions (the ones REGPRESS charges pressure for).
         reg_span: ``(N,)`` live-range spans in levels (valid where
             ``reg_mask`` is set, zero elsewhere).
         reg_horizon: Level count used to normalize spans.
-        all_pairs: ``(N, N)`` exact undirected hop distances
-            (unreachable = ``N``), precomputed on graphs small enough
-            to afford it (and only when SciPy is available); ``None``
-            otherwise.  LEVEL and PLACEPROP reduce their distance
-            queries to row gathers when present.
     """
 
     n: int
@@ -129,7 +113,6 @@ class RegionIndex:
     reg_mask: np.ndarray
     reg_span: np.ndarray
     reg_horizon: int
-    all_pairs: Optional[np.ndarray] = None
 
 
 def _csr(lists: Sequence[Sequence[int]]) -> tuple:
@@ -175,28 +158,16 @@ def build_region_index(ddg: DataDependenceGraph, machine: Machine) -> "RegionInd
     succ_indptr, succ_indices = _csr(succ_lists)
     pred_indptr, pred_indices = _csr(pred_lists)
 
-    all_pairs: Optional[np.ndarray] = None
-    if _scipy_dijkstra is not None and 0 < n <= _ALL_PAIRS_MAX_NODES:
-        graph = _scipy_csr(
-            (np.ones(adj_indices.size, dtype=np.int8), adj_indices, adj_indptr),
-            shape=(n, n),
-        )
-        rows = _scipy_dijkstra(graph, directed=True, unweighted=True)
-        all_pairs = np.where(np.isinf(rows), float(n), rows).astype(np.int64)
-
     homes = np.full(n, -1, dtype=np.int64)
     pseudo = np.zeros(n, dtype=bool)
     reg_mask = np.zeros(n, dtype=bool)
     reg_span = np.zeros(n, dtype=np.int64)
-    feasible = np.zeros((n, n_clusters), dtype=bool)
     lv = ddg.levels()
     for inst in ddg:
         uid = inst.uid
         if inst.home_cluster is not None:
             homes[uid] = inst.home_cluster
         pseudo[uid] = inst.is_pseudo
-        legal = [c for c in feasible_clusters(inst, machine) if 0 <= c < n_clusters]
-        feasible[uid, legal] = True
         if inst.defines_value and not inst.is_pseudo:
             reg_mask[uid] = True
             consumers = [e.dst for e in ddg.successors(uid) if e.carries_value]
@@ -224,12 +195,50 @@ def build_region_index(ddg: DataDependenceGraph, machine: Machine) -> "RegionInd
         homes=homes,
         preplaced=np.asarray(ddg.preplaced(), dtype=np.int64),
         pseudo=pseudo,
-        feasible=feasible,
+        feasible=feasibility_mask(ddg, machine),
         reg_mask=reg_mask,
         reg_span=reg_span,
         reg_horizon=reg_horizon,
-        all_pairs=all_pairs,
     )
+
+
+def feasibility_mask(ddg: DataDependenceGraph, machine: Machine) -> np.ndarray:
+    """``(N, C)`` bool mask of legal placements, one row per instruction.
+
+    Row ``i`` is True exactly on the in-range clusters of
+    :func:`~repro.schedulers.list_scheduler.feasible_clusters`: the
+    machine's feasibility table row for the instruction's functional
+    class, replaced by a single cluster where a home cluster or a hard
+    memory-bank affinity pins the instruction.
+
+    Args:
+        ddg: The region's dependence graph.
+        machine: The target machine model.
+
+    Returns:
+        The ``(N, C)`` mask (a fresh array the caller may modify).
+    """
+    n_clusters = machine.n_clusters
+    hard_banks = machine.memory_affinity == "hard"
+    rows: List[int] = []
+    pinned: List[int] = []
+    pins: List[int] = []
+    for inst in ddg:
+        rows.append(FUNC_CLASS_ROW[inst.func_class])
+        if inst.home_cluster is not None:
+            pinned.append(inst.uid)
+            pins.append(inst.home_cluster)
+        elif hard_banks and inst.bank is not None and inst.is_memory:
+            pinned.append(inst.uid)
+            pins.append(machine.bank_home(inst.bank))
+    mask: np.ndarray = machine.class_mask[np.asarray(rows, dtype=np.int64)]
+    if pinned:
+        at = np.asarray(pinned, dtype=np.int64)
+        to = np.asarray(pins, dtype=np.int64)
+        mask[at] = False
+        legal = (to >= 0) & (to < n_clusters)
+        mask[at[legal], to[legal]] = True
+    return mask
 
 
 # ----------------------------------------------------------------------
@@ -278,18 +287,6 @@ def grouped_hop_distances(
     node = np.asarray([s for g in groups for s in g], dtype=np.int64)
     if node.size == 0:
         return dist
-    if max_depth is None and _scipy_dijkstra is not None:
-        # Hop counts are exact small integers, so SciPy's C traversal
-        # and the numpy sweep below return identical matrices; SciPy is
-        # merely faster.  (The capped case stays on the numpy sweep:
-        # csgraph has no depth limit.)
-        graph = _scipy_csr(
-            (np.ones(indices.size, dtype=np.int8), indices, indptr), shape=(n, n)
-        )
-        uniq, inverse = np.unique(node, return_inverse=True)
-        rows = _scipy_dijkstra(graph, directed=True, unweighted=True, indices=uniq)
-        rows = np.where(np.isinf(rows), float(n), rows).astype(np.int64)
-        return _min_reduce_groups(dist, rows[inverse], lengths)
     dist[gsrc, node] = 0
     cap = n if max_depth is None else min(max_depth, n)
     depth = 0
@@ -319,36 +316,6 @@ def grouped_hop_distances(
     return dist
 
 
-def _min_reduce_groups(
-    dist: np.ndarray, member_rows: np.ndarray, lengths: Sequence[int]
-) -> np.ndarray:
-    """Fill ``dist[g]`` with the elementwise min of group ``g``'s rows.
-
-    Multi-source BFS distance is the elementwise minimum of the member
-    rows, so reducing precomputed single-source rows per group gives
-    exactly the grouped result.  Groups are overwhelmingly singletons
-    (LEVEL queries one row per band member), so that case is a plain
-    row copy.
-
-    Args:
-        dist: ``(k, n)`` output, prefilled with the unreached distance.
-        member_rows: ``(sum(lengths), n)`` single-source rows, ordered
-            group by group.
-        lengths: Member count of each of the ``k`` groups.
-
-    Returns:
-        ``dist``, mutated in place.
-    """
-    pos = 0
-    for g, ln in enumerate(lengths):
-        if ln == 1:
-            dist[g] = member_rows[pos]
-        elif ln > 1:
-            np.min(member_rows[pos : pos + ln], axis=0, out=dist[g])
-        pos += ln
-    return dist
-
-
 def hop_distances(
     index: RegionIndex,
     sources: Sequence[int],
@@ -374,12 +341,7 @@ def region_hop_distances(
 ) -> np.ndarray:
     """Grouped hop distances over the region's adjacency.
 
-    Semantically identical to :func:`grouped_hop_distances` on the
-    index's adjacency; when the index carries the precomputed
-    ``all_pairs`` matrix the answer is assembled from its rows instead
-    of running a traversal.  A ``max_depth`` cap is applied after the
-    fact — a node's capped distance is ``n`` exactly when its true
-    distance exceeds the cap, so capping commutes with the lookup.
+    :func:`grouped_hop_distances` on the index's CSR adjacency.
 
     Args:
         index: The region's :class:`RegionIndex`.
@@ -390,20 +352,8 @@ def region_hop_distances(
         ``(len(groups), n)`` int64 distance matrix, unreachable (or
         beyond ``max_depth``) = ``index.n``.
     """
-    n = index.n
-    if index.all_pairs is not None and len(groups) and n:
-        k = len(groups)
-        dist = np.full((k, n), n, dtype=np.int64)
-        lengths = [len(g) for g in groups]
-        members = [s for g in groups for s in g]
-        if members:
-            rows = index.all_pairs[np.asarray(members, dtype=np.int64)]
-            dist = _min_reduce_groups(dist, rows, lengths)
-            if max_depth is not None and max_depth < n:
-                dist[dist > max_depth] = n
-        return dist
     return grouped_hop_distances(
-        index.adj_indptr, index.adj_indices, groups, n, max_depth
+        index.adj_indptr, index.adj_indices, groups, index.n, max_depth
     )
 
 

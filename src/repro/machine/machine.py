@@ -14,7 +14,9 @@ Two concrete models exist: :class:`~repro.machine.vliw.ClusteredVLIW`
 from __future__ import annotations
 
 import abc
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
+
+import numpy as np
 
 from ..ir.opcode import FuncClass, LatencyModel, Opcode
 from .fu import Cluster
@@ -23,6 +25,9 @@ from .fu import Cluster
 #: mesh link ("link", 3, 7) or a transfer unit ("xfer", 2, -1).  Opaque to
 #: schedulers; the list scheduler and the simulator only test equality.
 CommResource = Tuple[str, int, int]
+
+#: Row of each functional class in :attr:`Machine.class_mask`.
+FUNC_CLASS_ROW: Dict[FuncClass, int] = {fc: row for row, fc in enumerate(FuncClass)}
 
 
 class Machine(abc.ABC):
@@ -48,6 +53,19 @@ class Machine(abc.ABC):
         self.clusters: Tuple[Cluster, ...] = tuple(clusters)
         self.latency_model = latency_model
         self.name = name
+        # The feasibility table, built once: every scheduler, the
+        # RegionIndex and the simulator read placement legality from it.
+        self.class_mask: np.ndarray = np.array(
+            [[self.can_execute(c, fc) for c in range(len(clusters))] for fc in FuncClass],
+            dtype=bool,
+        )
+        self.class_clusters: Dict[FuncClass, Tuple[int, ...]] = {
+            fc: tuple(np.flatnonzero(self.class_mask[row]).tolist())
+            for fc, row in FUNC_CLASS_ROW.items()
+        }
+        self.class_units: Dict[Tuple[int, FuncClass], Tuple[int, ...]] = {
+            (c.index, fc): _unit_indices(c, fc) for c in self.clusters for fc in FuncClass
+        }
 
     @property
     def n_clusters(self) -> int:
@@ -62,6 +80,8 @@ class Machine(abc.ABC):
         """True if ``cluster`` has a unit for ``func_class``.
 
         Pseudo operations (live-in/live-out markers) execute anywhere.
+        This is the definition the feasibility table is built from; hot
+        paths read :attr:`class_clusters` / :attr:`class_mask` instead.
         """
         if func_class in (FuncClass.PSEUDO, FuncClass.CONST):
             return True
@@ -108,3 +128,15 @@ class Machine(abc.ABC):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}: {self.n_clusters} clusters>"
+
+
+def _unit_indices(cluster: Cluster, func_class: FuncClass) -> Tuple[int, ...]:
+    """Indices of the units of ``cluster`` that may issue ``func_class``.
+
+    Constants issue on any unit of a cluster that declares no CONST
+    unit: :meth:`Machine.can_execute` makes CONST legal everywhere.
+    """
+    units = tuple(u for u, unit in enumerate(cluster.units) if unit.can_execute(func_class))
+    if not units and func_class is FuncClass.CONST:
+        return tuple(range(len(cluster.units)))
+    return units

@@ -265,20 +265,11 @@ def environment_fingerprint() -> Dict[str, str]:
         numpy_version = numpy.__version__
     except Exception:  # pragma: no cover - numpy is a hard dep in practice
         numpy_version = "unavailable"
-    try:
-        import scipy  # type: ignore[import-untyped,import-not-found,unused-ignore]
-
-        scipy_version = scipy.__version__
-    except ImportError:
-        # Optional: repro.core.kernels uses SciPy graph traversals when
-        # present, with bit-identical numpy fallbacks when absent.
-        scipy_version = "absent"
     return {
         "python": platform.python_version(),
         "implementation": platform.python_implementation(),
         "platform": platform.platform(),
         "numpy": numpy_version,
-        "scipy": scipy_version,
         "git_sha": _git_sha(),
     }
 

@@ -21,12 +21,12 @@ still slot into an earlier empty cycle.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..ir.ddg import DataDependenceGraph
 from ..ir.instruction import Instruction
-from ..ir.opcode import FuncClass
 from ..ir.regions import Region
 from ..machine.machine import Machine
 from .resources import ReservationTable
@@ -40,17 +40,17 @@ class SchedulingError(RuntimeError):
 def feasible_clusters(inst: Instruction, machine: Machine) -> List[int]:
     """Clusters on which ``inst`` may legally execute.
 
-    Honors functional-unit availability, hard preplacement
-    (``home_cluster``), and hard memory-bank affinity on machines like
-    Raw where a load *must* run on its bank's tile.
+    Honors hard preplacement (``home_cluster``), hard memory-bank
+    affinity on machines like Raw where a load *must* run on its bank's
+    tile, and otherwise functional-unit availability as the machine's
+    feasibility table (:attr:`~repro.machine.machine.Machine.class_clusters`)
+    records it.
     """
     if inst.home_cluster is not None:
         return [inst.home_cluster]
     if inst.is_memory and inst.bank is not None and machine.memory_affinity == "hard":
         return [machine.bank_home(inst.bank)]
-    return [
-        c for c in range(machine.n_clusters) if machine.can_execute(c, inst.func_class)
-    ]
+    return list(machine.class_clusters[inst.func_class])
 
 
 def effective_latency(inst: Instruction, cluster: int, machine: Machine) -> int:
@@ -140,21 +140,23 @@ class ListScheduler:
         unscheduled_preds = {
             i: len(ddg.predecessors(i)) for i in range(len(ddg))
         }
-        ready = [i for i, n in unscheduled_preds.items() if n == 0]
 
         def sort_key(uid: int) -> Tuple[float, int, int]:
             return (priorities.get(uid, 0.0), -tail[uid], uid)
 
+        # The key is unique through ``uid``, so the heap pops exactly the
+        # order a full sort of the ready list would.
+        ready = [sort_key(i) for i, n in unscheduled_preds.items() if n == 0]
+        heapq.heapify(ready)
         while ready:
-            ready.sort(key=sort_key)
-            uid = ready.pop(0)
+            uid = heapq.heappop(ready)[2]
             inst = ddg.instruction(uid)
             cluster = self._pick_cluster(inst, ddg, machine, assignment, state)
             self._place(inst, cluster, ddg, machine, state)
             for edge in ddg.successors(uid):
                 unscheduled_preds[edge.dst] -= 1
                 if unscheduled_preds[edge.dst] == 0:
-                    ready.append(edge.dst)
+                    heapq.heappush(ready, sort_key(edge.dst))
 
         if len(state.schedule.ops) != len(ddg):
             missing = set(range(len(ddg))) - set(state.schedule.ops)
@@ -283,17 +285,12 @@ class ListScheduler:
         if inst.is_pseudo:
             start, unit_index = data_ready, -1
         else:
-            units = machine.clusters[cluster].units_for(inst.func_class)
-            if not units and inst.func_class is FuncClass.CONST:
-                # Constants issue on any integer-capable unit; machines
-                # declare CONST capability via can_execute.
-                units = machine.clusters[cluster].units
+            units = machine.class_units[cluster, inst.func_class]
             if not units:
                 raise SchedulingError(
                     f"cluster {cluster} has no unit for {inst.label()}"
                 )
-            keys = [("fu", cluster, u) for u in range(len(machine.clusters[cluster].units))
-                    if machine.clusters[cluster].units[u] in units]
+            keys = [("fu", cluster, u) for u in units]
             start, key = state.table.first_free_any(keys, data_ready)
             state.table.reserve(key, start)
             unit_index = key[2]

@@ -250,6 +250,8 @@ def _instruction_from_dict(
     if home is not None and home < 0:
         raise WireError(f"{field}.home_cluster", "must be non-negative")
     bank = _expect(data, "bank", (int, type(None)), field, required=False)
+    # Kept as the JSON number type it arrived as: the DDG fingerprint
+    # tells ``2`` from ``2.0``, so a round trip must not turn one into the other.
     immediate = _expect(data, "immediate", (int, float, type(None)), field,
                         required=False)
     name = _expect(data, "name", (str,), field, required=False, default="")
@@ -261,7 +263,7 @@ def _instruction_from_dict(
             home_cluster=home,
             name=name,
             bank=bank,
-            immediate=None if immediate is None else float(immediate),
+            immediate=immediate,
         )
     except ValueError as exc:
         raise WireError(field, str(exc))

@@ -8,8 +8,7 @@ of checks:
 * lockstep property tests on random DAGs × machines × seeds, running
   the full 12-pass registry through both paths;
 * unit tests for the shared primitives (``RegionIndex``, grouped BFS,
-  ``gathered_row_sums``, PATHPROP step tables) including the
-  SciPy-absent fallback path;
+  ``gathered_row_sums``, PATHPROP step tables);
 * a re-run of the V4xx pass-contract fixtures against the vectorized
   passes.
 """
@@ -18,14 +17,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import repro.core.kernels as K
 from repro.core.kernels import (
     _first_min_steps,
-    _min_reduce_groups,
     _pathprop_walk,
     build_region_index,
     gathered_row_sums,
-    grouped_hop_distances,
     hop_distances,
     region_hop_distances,
 )
@@ -139,10 +135,8 @@ class TestLockstepEquivalence:
         for region in program.regions:
             _lockstep(region, machine, list(sequence))
 
-    def test_numpy_bfs_fallback_stays_equivalent(self, monkeypatch):
-        """With SciPy masked out, kernels fall back to the numpy BFS and
-        still match the scalar reference bit-for-bit."""
-        monkeypatch.setattr(K, "_scipy_dijkstra", None)
+    def test_numpy_bfs_fallback_stays_equivalent(self):
+        """The kernels' numpy BFS matches the scalar reference bit-for-bit."""
         machine = MACHINES["raw4"]
         program = build_benchmark("vvmul", machine)
         for region in program.regions:
@@ -182,20 +176,6 @@ class TestRegionIndex:
             assert index.homes[inst.uid] == home
         assert index.preplaced.tolist() == ddg.preplaced()
 
-    def test_all_pairs_rows_are_exact_distances(self, indexed):
-        ddg, _, index = indexed
-        if index.all_pairs is None:
-            pytest.skip("SciPy not available: no all-pairs precompute")
-        assert index.all_pairs.shape == (index.n, index.n)
-        for src in (0, index.n // 2, index.n - 1):
-            expected = np.asarray(ddg.undirected_distances([src]))
-            assert np.array_equal(index.all_pairs[src], expected)
-
-    def test_all_pairs_respects_size_cap(self, monkeypatch, indexed):
-        ddg, machine, _ = indexed
-        monkeypatch.setattr(K, "_ALL_PAIRS_MAX_NODES", 0)
-        assert build_region_index(ddg, machine).all_pairs is None
-
 
 class TestHopDistances:
     @pytest.fixture(scope="class")
@@ -217,26 +197,12 @@ class TestHopDistances:
                 expected = np.asarray(ddg.undirected_distances(group))
                 assert np.array_equal(dist[g], expected)
 
-    def test_scipy_and_numpy_sweeps_agree(self, monkeypatch, indexed):
+    def test_max_depth_cap_matches_capped_exact_distances(self, indexed):
         _, index = indexed
-        fast = grouped_hop_distances(
-            index.adj_indptr, index.adj_indices, self.GROUPS, index.n
-        )
-        monkeypatch.setattr(K, "_scipy_dijkstra", None)
-        slow = grouped_hop_distances(
-            index.adj_indptr, index.adj_indices, self.GROUPS, index.n
-        )
-        assert np.array_equal(fast, slow)
-
-    def test_max_depth_cap_commutes_with_all_pairs_lookup(self, indexed):
-        _, index = indexed
+        exact = region_hop_distances(index, self.GROUPS)
         for cap in (0, 1, 3):
             capped = region_hop_distances(index, self.GROUPS, max_depth=cap)
-            swept = grouped_hop_distances(
-                index.adj_indptr, index.adj_indices, self.GROUPS, index.n, cap
-            )
-            assert np.array_equal(capped, swept)
-            assert np.all((capped <= cap) | (capped == index.n))
+            assert np.array_equal(capped, np.where(exact <= cap, exact, index.n))
 
     def test_single_group_wrapper(self, indexed):
         ddg, index = indexed
@@ -244,12 +210,6 @@ class TestHopDistances:
             hop_distances(index, [0, 4]),
             np.asarray(ddg.undirected_distances([0, 4])),
         )
-
-    def test_min_reduce_groups_is_elementwise_min(self):
-        rows = np.array([[3, 1], [2, 5], [9, 9]], dtype=np.int64)
-        dist = np.full((3, 2), 7, dtype=np.int64)
-        out = _min_reduce_groups(dist, rows, [1, 2, 0])
-        assert out.tolist() == [[3, 1], [2, 5], [7, 7]]
 
 
 class TestGatheredRowSums:

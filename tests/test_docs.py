@@ -78,7 +78,7 @@ class TestDocumentsExist:
             assert f"## {name}" in text, f"docs/kernels.md missing {name}"
         for needle in ("RegionIndex", "bit-compat", "tobytes",
                        "np.add.at", "gathered_row_sums",
-                       "region_hop_distances", "all_pairs",
+                       "region_hop_distances",
                        "tests/test_core_kernels.py", "op order"):
             assert needle in text, f"docs/kernels.md missing {needle!r}"
 

@@ -38,6 +38,7 @@ from hypothesis import given, settings
 
 from repro.core.convergent import ConvergentScheduler
 from repro.engine import schedule_key
+from repro.engine.fingerprint import ddg_fingerprint
 from repro.faults.chaos import RaisingPass
 from repro.harness.experiment import run_program
 from repro.harness.results import program_result_to_dict
@@ -54,7 +55,7 @@ from repro.serve import (
 )
 from repro.serve.loadtest import http_request
 from repro.verify.sweep import scheduler_registry
-from repro.workloads import build_benchmark
+from repro.workloads import RAW_SUITE, VLIW_SUITE, build_benchmark
 
 from tests.test_properties_engine import build_region, dag_recipes
 
@@ -230,6 +231,17 @@ class TestWireProperties:
             back, machine, ConvergentScheduler(), check_values=False
         )
         assert original.key == roundtrip.key
+
+    @pytest.mark.parametrize("spec,suite", [("raw4x4", RAW_SUITE), ("vliw4", VLIW_SUITE)])
+    def test_suite_fingerprints_survive_json_round_trip(self, spec, suite):
+        """Integer immediates stay integers, so no region's DDG digest moves."""
+        machine = machine_from_spec(spec)
+        for name in suite:
+            program = build_benchmark(name, machine)
+            back = program_from_dict(json.loads(json.dumps(program_to_dict(program))))
+            assert [ddg_fingerprint(r.ddg) for r in back.regions] == [
+                ddg_fingerprint(r.ddg) for r in program.regions
+            ], f"{spec}/{name}"
 
     @given(dag_recipes(max_nodes=12))
     @settings(max_examples=10, deadline=None)
