@@ -14,7 +14,7 @@ single reported number:
   requests.
 
 The contract, enforced by ``tests/test_engine.py``: ``jobs=N`` and
-warm-cache runs are cycle-identical to the classic serial harness.
+warm-cache runs are cycle-identical to an inline ``jobs=1`` run.
 
 PR 6 adds :mod:`~repro.engine.resilience` — deadlines
 (:class:`Budget` / :func:`budget_scope`), retry with seeded backoff

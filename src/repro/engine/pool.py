@@ -58,7 +58,17 @@ from .resilience import (
     Budget,
     CircuitBreaker,
     ResilienceConfig,
+    RetryPolicy,
     budget_scope,
+)
+
+#: The policy of an engine built with ``resilience=None``: no deadline,
+#: one attempt, no breakers, and no pool respawns — a dead pool is given
+#: up at once and the remaining tasks run inline.
+NO_RESILIENCE = ResilienceConfig(
+    retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
+    breaker_enabled=False,
+    max_pool_respawns=0,
 )
 
 #: ``TaskOutcome.cache_status`` values.
@@ -90,10 +100,10 @@ class RegionTask:
             default) means unbudgeted.  A resilient engine fills this
             from its :class:`~repro.engine.resilience.ResilienceConfig`.
         route_level: Minimum :class:`~repro.schedulers.fallback.
-            FallbackChain` member this task may use (0 = primary); a
-            tripped circuit breaker raises it so the task skips the
-            failing primary.  Ignored for schedulers without a
-            ``min_level`` attribute.
+            FallbackChain` member this task may use (0 = primary).  The
+            engine raises it to the chain's configured ``min_level``
+            and to a tripped circuit breaker's floor, never lowers it.
+            Ignored for schedulers without a ``min_level`` attribute.
         submit_s: Unix time the engine (re-)submitted the task for its
             latest attempt; the flight recorder derives queue-wait from
             it.  0.0 until the engine stamps it.
@@ -163,14 +173,26 @@ class TaskOutcome:
     finished_s: float = 0.0
 
 
-def _execute_region_task(
-    task: RegionTask, cache: Optional[ScheduleCache]
+def execute_task(
+    task: RegionTask,
+    cache: Optional[ScheduleCache],
+    fingerprint: Optional[Fingerprint] = None,
 ) -> TaskOutcome:
-    """Run one task to completion in the current process.
+    """Run one task to completion in the calling thread.
+
+    The single owner of a region task's semantics — cache lookup and
+    store, replay of hits, routing floor, budget, captured failures —
+    used by pool workers, by the engine's inline runs, and by the
+    compile server's warm fast lane (which calls it outside any engine
+    so cache hits never queue behind a batch, and passes the
+    fingerprints it already parsed so a warm region is never
+    re-canonicalized).
 
     Args:
         task: The work item.
         cache: Schedule cache to consult/populate, or ``None``.
+        fingerprint: The task's cache key, when the caller already
+            holds it; ``None`` computes it from the task.
 
     Returns:
         The fully-populated :class:`TaskOutcome`.
@@ -184,27 +206,35 @@ def _execute_region_task(
         worker=os.getpid(),
         started_s=time.time(),
     )
-    # Install the breaker's routing floor *before* the cache key is
-    # computed: ``min_level`` is part of the scheduler fingerprint, so
-    # routed (degraded) results can never poison unrouted cache slots.
-    if hasattr(task.scheduler, "min_level"):
-        task.scheduler.min_level = task.route_level
-
-    def _run() -> None:
-        fingerprint: Optional[Fingerprint] = None
+    with contextlib.ExitStack() as scopes:
+        # Raise the chain's routing floor to the task's *before* the
+        # cache key is computed: ``min_level`` is part of the scheduler
+        # fingerprint, so routed (degraded) results can never poison
+        # unrouted cache slots.  The configured floor is restored on
+        # exit, because the tasks of one program share the scheduler.
+        configured_level = getattr(task.scheduler, "min_level", None)
+        if configured_level is not None:
+            task.scheduler.min_level = max(configured_level, task.route_level)
+            scopes.callback(setattr, task.scheduler, "min_level", configured_level)
+        if task.deadline_s is not None:
+            scopes.enter_context(budget_scope(Budget(deadline_s=task.deadline_s)))
+        if tracer is not None:
+            scopes.enter_context(tracing(tracer))
+        cache_key = fingerprint
         scheduler_ran = False
         if cache is not None:
-            fingerprint = schedule_key(
-                task.region,
-                task.machine,
-                task.scheduler,
-                check_values=task.check_values,
-                verify=task.verify,
-                deadline_s=task.deadline_s,
-            )
-            outcome.fingerprint = fingerprint.key
+            if cache_key is None:
+                cache_key = schedule_key(
+                    task.region,
+                    task.machine,
+                    task.scheduler,
+                    check_values=task.check_values,
+                    verify=task.verify,
+                    deadline_s=task.deadline_s,
+                )
+            outcome.fingerprint = cache_key.key
             lookup_started = time.perf_counter()
-            hit = cache.get(fingerprint, task.region)
+            hit = cache.get(cache_key, task.region)
             if hit is not None:
                 outcome.cache_status = CACHE_HIT
                 outcome.schedule = hit.schedule
@@ -236,9 +266,9 @@ def _execute_region_task(
             report = getattr(task.scheduler, "last_report", None)
             if report is not None:
                 outcome.degradation_level = report.level
-            if fingerprint is not None and result.ok and schedule is not None:
+            if cache_key is not None and result.ok and schedule is not None:
                 cache.put(
-                    fingerprint,
+                    cache_key,
                     schedule,
                     cycles=result.cycles,
                     transfers=result.transfers,
@@ -260,19 +290,6 @@ def _execute_region_task(
                 status=outcome.cache_status,
                 region=task.region.name,
             )
-
-    def _invoke() -> None:
-        if tracer is not None:
-            with tracing(tracer):
-                _run()
-        else:
-            _run()
-
-    if task.deadline_s is not None:
-        with budget_scope(Budget(deadline_s=task.deadline_s)):
-            _invoke()
-    else:
-        _invoke()
     outcome.timed_out = outcome.result.status == STATUS_TIMEOUT
 
     if cache is not None:
@@ -292,27 +309,52 @@ def _execute_region_task(
     return outcome
 
 
-def execute_task(
-    task: RegionTask, cache: Optional[ScheduleCache]
-) -> TaskOutcome:
-    """Execute one task in the calling thread, outside any engine.
+def flight_record(
+    task: RegionTask, outcome: TaskOutcome, breaker: Optional[str] = None
+) -> FlightRecord:
+    """The flight-ledger row of one finished task.
 
-    The public entry point for in-process callers that need the
-    engine's single-task semantics — cache lookup/store, fast replay of
-    hits, captured failures — without a :class:`CompilationEngine`
-    (the compile server's warm fast lane uses it so cache hits never
-    queue behind a batch).  The cache is exposed via
-    :func:`worker_cache` for the duration, exactly as in a worker.
+    Splits the task's wall time into queue-wait (submit → start) and
+    execute (start → finish); the one row layout shared by the engine
+    and the compile server's warm lane.
 
     Args:
-        task: The work item.
-        cache: Schedule cache to consult/populate, or ``None``.
+        task: The finished work item (carries ``submit_s``).
+        outcome: Its outcome (carries ``started_s``/``finished_s``).
+        breaker: State of the task's circuit breaker, or ``None`` when
+            no breaker applies.
 
     Returns:
-        The fully-populated :class:`TaskOutcome`.
+        The :class:`~repro.observability.flight.FlightRecord`.
     """
-    with _as_worker_cache(cache):
-        return _execute_region_task(task, cache)
+    queue_wait = 0.0
+    if task.submit_s and outcome.started_s:
+        queue_wait = max(0.0, outcome.started_s - task.submit_s)
+    execute = max(0.0, outcome.finished_s - outcome.started_s)
+    return FlightRecord(
+        index=task.index,
+        region=task.region.name,
+        machine=task.machine.name,
+        scheduler=getattr(task.scheduler, "name", type(task.scheduler).__name__),
+        fingerprint=outcome.fingerprint,
+        cache_status=outcome.cache_status,
+        worker=outcome.worker,
+        submit_s=task.submit_s or outcome.started_s,
+        start_s=outcome.started_s,
+        finish_s=outcome.finished_s,
+        queue_wait_s=queue_wait,
+        execute_s=execute,
+        attempts=outcome.attempts,
+        route_level=task.route_level,
+        breaker=breaker,
+        degradation_level=outcome.degradation_level,
+        deadline_s=task.deadline_s,
+        deadline_slack_s=(
+            task.deadline_s - execute if task.deadline_s is not None else None
+        ),
+        status=outcome.result.status,
+        cycles=outcome.result.cycles,
+    )
 
 
 # ----------------------------------------------------------------------
@@ -348,9 +390,10 @@ def worker_cache() -> Optional[ScheduleCache]:
 def _as_worker_cache(cache: Optional[ScheduleCache]) -> Iterator[None]:
     """Temporarily expose ``cache`` via :func:`worker_cache` in-parent.
 
-    Used when the parent executes a task inline (serial mode, or a
-    retry after a pool failure) so cache-aware helpers behave the same
-    in both processes.
+    Used when :meth:`CompilationEngine.map` runs a helper inline
+    (serial mode, or a retry after a pool failure) so cache-aware
+    helpers behave the same in both processes.  Region tasks never read
+    :func:`worker_cache` and are passed their cache directly.
     """
     global _WORKER_CACHE
     previous = _WORKER_CACHE
@@ -363,7 +406,7 @@ def _as_worker_cache(cache: Optional[ScheduleCache]) -> Iterator[None]:
 
 def _pool_run_task(task: RegionTask) -> TaskOutcome:
     """Top-level pool target: execute one task with the worker cache."""
-    return _execute_region_task(task, _WORKER_CACHE)
+    return execute_task(task, _WORKER_CACHE)
 
 
 def _pool_call(fn: Callable[[Any], Any], item: Any) -> Any:
@@ -391,31 +434,29 @@ class CompilationEngine:
 
     Args:
         jobs: Worker-process count; ``1`` executes inline (no pool, no
-            pickling — byte-identical to the classic serial harness).
+            pickling).
         cache: Shared :class:`ScheduleCache`; workers rebuild an
             equivalent cache from its :meth:`~ScheduleCache.spec` (a
             disk-backed cache is then genuinely shared through the
             filesystem; a memory-only cache becomes per-worker).
         resilience: Optional :class:`~repro.engine.resilience.
-            ResilienceConfig`.  ``None`` (the default) keeps the classic
-            PR 5 execution path byte-for-byte; when set, ``run_tasks``
-            switches to the resilient path: per-task deadlines (checked
-            cooperatively in workers, enforced preemptively by killing
-            overrunning workers), :class:`~repro.engine.resilience.
-            RetryPolicy`-bounded retries with deterministic backoff,
-            and per-(scheduler, machine) circuit breakers that route
-            tasks past a repeatedly-failing primary.  Everything the
-            resilient path does is counted in :attr:`telemetry` under
-            ``resilience.*`` (see :data:`~repro.observability.metrics.
-            RESILIENCE_COUNTERS`).
+            ResilienceConfig`: per-task deadlines (checked cooperatively
+            in workers, enforced preemptively by killing overrunning
+            workers), :class:`~repro.engine.resilience.RetryPolicy`-
+            bounded retries with deterministic backoff, and
+            per-(scheduler, machine) circuit breakers that route tasks
+            past a repeatedly-failing primary.  ``None`` (the default)
+            is the null policy :data:`NO_RESILIENCE`: no deadline, one
+            attempt, no breakers, no pool respawns.  Either way the
+            same loop runs the tasks, and everything it does is counted
+            in :attr:`telemetry` under ``resilience.*`` (see
+            :data:`~repro.observability.metrics.RESILIENCE_COUNTERS`).
         ledger: Optional :class:`~repro.observability.flight.
-            FlightLedger`.  When given, every finished task — on the
-            serial, pooled, and resilient paths alike — appends one
+            FlightLedger`.  When given, every finished task appends one
             :class:`~repro.observability.flight.FlightRecord` (cache
             status, worker pid, queue-wait vs execute split, attempt,
             breaker state, deadline slack); the caller flushes the
-            ledger to disk.  ``None`` keeps the task path free of any
-            ledger bookkeeping.
+            ledger to disk.
 
     Per-task queue-wait and execute seconds are always recorded into
     :attr:`telemetry` as ``engine.queue_wait_seconds.<status>`` /
@@ -424,9 +465,10 @@ class CompilationEngine:
 
     The executor is created lazily on first parallel use and should be
     released with :meth:`close` (or by using the engine as a context
-    manager).  If the pool breaks (a worker is killed hard), affected
-    and subsequent tasks run inline in the parent — results are
-    unaffected, and :attr:`pool_breaks` counts the incident.
+    manager).  If the pool breaks (a worker is killed hard) past the
+    policy's respawn allowance, affected and subsequent tasks run inline
+    in the parent — results are unaffected, and :attr:`pool_breaks`
+    counts the incident.
     """
 
     def __init__(
@@ -438,18 +480,19 @@ class CompilationEngine:
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
+        if resilience is None:
+            resilience = NO_RESILIENCE
         self.jobs = jobs
         self.cache = cache
         self.resilience = resilience
         self.ledger = ledger
         self.telemetry = MetricsRegistry()
         self.pool_breaks = 0
-        self.retried_tasks = 0
         self._executor: Optional[ProcessPoolExecutor] = None
         self._broken = False
         self._respawns = 0
         self._board: Optional[BreakerBoard] = None
-        if resilience is not None and resilience.breaker_enabled:
+        if resilience.breaker_enabled:
             self._board = BreakerBoard(
                 failure_threshold=resilience.breaker_threshold,
                 cooldown_tasks=resilience.breaker_cooldown,
@@ -508,115 +551,24 @@ class CompilationEngine:
 
         Always splits the task's wall time into queue-wait (submit →
         start) and execute (start → finish) histograms per final status;
-        additionally appends a :class:`~repro.observability.flight.
-        FlightRecord` when the engine carries a ledger.
+        additionally appends the task's :func:`flight_record` when the
+        engine carries a ledger.
 
         Args:
             task: The finished work item (carries ``submit_s``).
             outcome: Its outcome (carries ``started_s``/``finished_s``).
         """
-        queue_wait = 0.0
-        if task.submit_s and outcome.started_s:
-            queue_wait = max(0.0, outcome.started_s - task.submit_s)
-        execute = max(0.0, outcome.finished_s - outcome.started_s)
-        status = outcome.result.status
-        self.telemetry.observe(f"engine.queue_wait_seconds.{status}", queue_wait)
-        self.telemetry.observe(f"engine.execute_seconds.{status}", execute)
-        if self.ledger is None:
-            return
         breaker = self._breaker_for(task)
-        slack = None
-        if task.deadline_s is not None:
-            slack = task.deadline_s - execute
-        self.ledger.append(
-            FlightRecord(
-                index=task.index,
-                region=task.region.name,
-                machine=task.machine.name,
-                scheduler=getattr(
-                    task.scheduler, "name", type(task.scheduler).__name__
-                ),
-                fingerprint=outcome.fingerprint,
-                cache_status=outcome.cache_status,
-                worker=outcome.worker,
-                submit_s=task.submit_s or outcome.started_s,
-                start_s=outcome.started_s,
-                finish_s=outcome.finished_s,
-                queue_wait_s=queue_wait,
-                execute_s=execute,
-                attempts=outcome.attempts,
-                route_level=task.route_level,
-                breaker=breaker.state if breaker is not None else None,
-                degradation_level=outcome.degradation_level,
-                deadline_s=task.deadline_s,
-                deadline_slack_s=slack,
-                status=status,
-                cycles=outcome.result.cycles,
-            )
+        record = flight_record(
+            task, outcome, breaker.state if breaker is not None else None
         )
+        status = record.status
+        self.telemetry.observe(f"engine.queue_wait_seconds.{status}", record.queue_wait_s)
+        self.telemetry.observe(f"engine.execute_seconds.{status}", record.execute_s)
+        if self.ledger is not None:
+            self.ledger.append(record)
 
     # -- region tasks --------------------------------------------------
-
-    def run_tasks(self, tasks: Sequence[RegionTask]) -> List[TaskOutcome]:
-        """Execute every task; outcomes are returned in *index* order.
-
-        Tasks whose worker died are retried inline in the parent, so
-        every submitted task yields exactly one outcome.  Exceptions a
-        task legitimately raises (``capture_errors=False``) propagate,
-        preserving the serial harness's fail-fast contract.
-
-        Args:
-            tasks: The work items (indices need not be contiguous, but
-                must be unique).
-
-        Returns:
-            One :class:`TaskOutcome` per task, sorted by task index.
-        """
-        if self.resilience is not None:
-            return self._run_tasks_resilient(tasks)
-        outcomes: Dict[int, TaskOutcome] = {}
-        executor = self._pool()
-        pending: List[RegionTask] = list(tasks)
-        if executor is not None:
-            futures: Dict[Future, RegionTask] = {}
-            for task in pending:
-                task.submit_s = time.time()
-                futures[executor.submit(_pool_run_task, task)] = task
-            pending = []
-            for future, task in futures.items():
-                try:
-                    outcome = future.result()
-                except BrokenProcessPool:
-                    self._mark_broken()
-                    pending.append(task)
-                    continue
-                except Exception:
-                    if not task.capture_errors:
-                        raise
-                    self.retried_tasks += 1
-                    pending.append(task)
-                    continue
-                # Fold worker-side cache activity into the shared stats
-                # (entries themselves are shared via the disk layer).
-                if self.cache is not None and outcome.worker != os.getpid():
-                    self.cache.stats.merge(outcome.cache_stats)
-                self._observe_task(task, outcome)
-                outcomes[outcome.index] = outcome
-        for task in pending:
-            if not task.submit_s:
-                task.submit_s = time.time()
-            with _as_worker_cache(self.cache):
-                outcome = _execute_region_task(task, self.cache)
-            self._observe_task(task, outcome)
-            outcomes[task.index] = outcome
-        return [outcomes[task.index] for task in sorted(tasks, key=lambda t: t.index)]
-
-    # -- resilient execution -------------------------------------------
-
-    def _run_inline(self, task: RegionTask) -> TaskOutcome:
-        """Execute one task in the parent with the engine's cache."""
-        with _as_worker_cache(self.cache):
-            return _execute_region_task(task, self.cache)
 
     def _breaker_for(self, task: RegionTask) -> Optional[CircuitBreaker]:
         """This task's circuit breaker, or ``None``.
@@ -636,7 +588,11 @@ class CompilationEngine:
         return self._board.breaker(task.scheduler.name, task.machine.name)
 
     def _route(self, task: RegionTask) -> None:
-        """Consult the circuit breaker and set the task's route level."""
+        """Set the task's route level: the larger of the scheduler's
+        configured ``min_level`` and its circuit breaker's floor."""
+        task.route_level = max(
+            task.route_level, getattr(task.scheduler, "min_level", 0)
+        )
         breaker = self._breaker_for(task)
         if breaker is None:
             return
@@ -648,16 +604,11 @@ class CompilationEngine:
             task.route_level = level
             self.telemetry.inc("resilience.breaker_routed")
 
-    def _record_breaker(self, task: RegionTask, outcome: TaskOutcome) -> None:
-        """Report a finished task's primary outcome to its breaker."""
+    def _record_breaker(self, task: RegionTask, primary_ok: bool) -> None:
+        """Report whether the task's primary succeeded to its breaker."""
         breaker = self._breaker_for(task)
         if breaker is None or task.route_level > 0:
             return  # routed task: the primary never ran, nothing to judge
-        primary_ok = (
-            outcome.result.ok
-            and not outcome.timed_out
-            and outcome.degradation_level == 0
-        )
         trips_before, resets_before = breaker.trips, breaker.resets
         breaker.record(primary_ok)
         if breaker.trips > trips_before:
@@ -678,7 +629,12 @@ class CompilationEngine:
             self.telemetry.inc("resilience.timeouts")
         if self.cache is not None and outcome.worker != os.getpid():
             self.cache.stats.merge(outcome.cache_stats)
-        self._record_breaker(task, outcome)
+        self._record_breaker(
+            task,
+            outcome.result.ok
+            and not outcome.timed_out
+            and outcome.degradation_level == 0,
+        )
         self._observe_task(task, outcome)
         outcomes[task.index] = outcome
 
@@ -695,7 +651,6 @@ class CompilationEngine:
         deadlines = [t.deadline_s for t, _ in wave if t.deadline_s is not None]
         if not deadlines:
             return None
-        assert self.resilience is not None
         return max(deadlines) + self.resilience.kill_tolerance_s
 
     def _respawn_pool(self) -> None:
@@ -717,7 +672,6 @@ class CompilationEngine:
         executor.shutdown(wait=False, cancel_futures=True)
         self._respawns += 1
         self.telemetry.inc("resilience.pool_respawns")
-        assert self.resilience is not None
         if self._respawns >= self.resilience.max_pool_respawns:
             self._mark_broken()
 
@@ -746,15 +700,10 @@ class CompilationEngine:
         if can_degrade:
             # The primary burned the whole budget: charge its breaker
             # while ``route_level`` still says the primary ran.
-            breaker = self._breaker_for(task)
-            if breaker is not None and task.route_level == 0:
-                trips_before = breaker.trips
-                breaker.record(False)
-                if breaker.trips > trips_before:
-                    self.telemetry.inc("resilience.breaker_trips")
+            self._record_breaker(task, False)
             task.route_level += 1
             self.telemetry.inc("resilience.rescues")
-            outcome = self._run_inline(task)
+            outcome = execute_task(task, self.cache)
             outcome.attempts = attempt + 1
             outcome.timed_out = True
             return outcome
@@ -794,7 +743,6 @@ class CompilationEngine:
         outcomes: Dict[int, TaskOutcome],
     ) -> None:
         """Classify one worker-side failure: retry, rescue, or raise."""
-        assert self.resilience is not None
         policy = self.resilience.retry
         if isinstance(exc, BrokenProcessPool):
             self._respawn_pool()
@@ -809,29 +757,35 @@ class CompilationEngine:
             # Retries exhausted (or terminal-but-captured): finish the
             # task inline in the parent so no region is ever lost.
             self.telemetry.inc("resilience.rescues")
-            outcome = self._run_inline(task)
+            outcome = execute_task(task, self.cache)
             self._absorb(task, attempt + 1, outcome, outcomes)
             return
         raise exc
 
-    def _run_tasks_resilient(self, tasks: Sequence[RegionTask]) -> List[TaskOutcome]:
-        """The resilient counterpart of :meth:`run_tasks`.
+    def run_tasks(self, tasks: Sequence[RegionTask]) -> List[TaskOutcome]:
+        """Execute every task; outcomes are returned in *index* order.
 
-        Tasks are submitted in waves of ``jobs`` and awaited with a
-        deadline-derived timeout; futures still running past it have
-        their workers killed and are rescued inline (degraded through
-        the fallback chain when possible, resolved as ``TIMEOUT``
-        otherwise).  Retryable infrastructure failures re-queue the
-        task per the :class:`~repro.engine.resilience.RetryPolicy`;
-        circuit breakers route tasks past repeatedly-failing primaries.
+        The engine's only region-task loop.  Without a pool (``jobs=1``,
+        or after the pool was given up) tasks run inline one by one.
+        With a pool, tasks that carry no deadline are all submitted at
+        once; tasks with a deadline go in waves of ``jobs``, awaited
+        with a deadline-derived timeout, and futures still running past
+        it have their workers killed and are rescued inline (degraded
+        through the fallback chain when possible, resolved as
+        ``TIMEOUT`` otherwise).  A lost worker — reported by
+        ``submit`` or by the future — respawns the pool or gives it up,
+        and the task is retried per the :class:`~repro.engine.
+        resilience.RetryPolicy` or rescued inline, so every task yields
+        exactly one outcome.  Exceptions a task legitimately raises
+        (``capture_errors=False``) propagate: the fail-fast contract.
 
         Args:
-            tasks: The work items (unique indices, as in ``run_tasks``).
+            tasks: The work items (indices need not be contiguous, but
+                must be unique).
 
         Returns:
-            One outcome per task, sorted by task index — never fewer.
+            One :class:`TaskOutcome` per task, sorted by task index.
         """
-        assert self.resilience is not None
         outcomes: Dict[int, TaskOutcome] = {}
         queue: Deque[Tuple[RegionTask, int]] = deque()
         for task in tasks:
@@ -841,19 +795,29 @@ class CompilationEngine:
         while queue:
             executor = self._pool()
             if executor is None:
-                # Serial (or given-up pool): cooperative deadlines only.
                 task, attempt = queue.popleft()
                 self._route(task)
                 task.submit_s = time.time()
-                outcome = self._run_inline(task)
+                outcome = execute_task(task, self.cache)
                 self._absorb(task, attempt, outcome, outcomes)
                 continue
-            wave = [queue.popleft() for _ in range(min(len(queue), self.jobs))]
+            timed = any(t.deadline_s is not None for t, _ in queue)
+            size = self.jobs if timed else len(queue)
+            wave = [queue.popleft() for _ in range(min(len(queue), size))]
             futures: Dict[Future, Tuple[RegionTask, int]] = {}
-            for task, attempt in wave:
+            refused: Optional[Tuple[RegionTask, int, BrokenProcessPool]] = None
+            for position, (task, attempt) in enumerate(wave):
                 self._route(task)
                 task.submit_s = time.time()
-                futures[executor.submit(_pool_run_task, task)] = (task, attempt)
+                try:
+                    futures[executor.submit(_pool_run_task, task)] = (task, attempt)
+                except BrokenProcessPool as exc:
+                    # A worker died mid-wave: the rest of the wave goes
+                    # back to the front of the queue, unsubmitted, and
+                    # this task is handled once the wave is collected.
+                    queue.extendleft(reversed(wave[position + 1:]))
+                    refused = (task, attempt, exc)
+                    break
             _, not_done = wait(list(futures), timeout=self._wave_timeout(wave))
             if not_done:
                 self.telemetry.inc("resilience.preemptive_kills", len(not_done))
@@ -869,6 +833,8 @@ class CompilationEngine:
                     self._handle_worker_error(task, attempt, exc, queue, outcomes)
                     continue
                 self._absorb(task, attempt, outcome, outcomes)
+            if refused is not None:
+                self._handle_worker_error(*refused, queue, outcomes)
         return [outcomes[t.index] for t in sorted(tasks, key=lambda t: t.index)]
 
     # -- generic fan-out -----------------------------------------------

@@ -26,8 +26,9 @@ module supplies the missing substrate:
   cell can no longer burn a whole campaign's budget.
 * :class:`ResilienceConfig` — the bundle a
   :class:`~repro.engine.pool.CompilationEngine` is configured with.
-  ``resilience=None`` (the default) keeps the engine byte-identical to
-  its PR 5 behavior; every feature here is strictly opt-in.
+  ``resilience=None`` (the default) runs the engine under the null
+  policy :data:`~repro.engine.pool.NO_RESILIENCE`; every feature here
+  is strictly opt-in.
 
 Everything in this module is stdlib-only and import-cycle-free: the
 core pipeline (:mod:`repro.core`) imports it lazily inside functions.

@@ -285,30 +285,6 @@ def _record_region_metrics(
         registry.inc("guard.quarantines", len(guard.quarantined))
 
 
-def _run_regions_serial(
-    program: Program,
-    machine: Machine,
-    scheduler: Scheduler,
-    check_values: bool,
-    capture_errors: bool,
-    registry: Optional[MetricsRegistry],
-    verify: bool,
-) -> List[RegionResult]:
-    """The classic in-process region loop, with index-keyed merge."""
-    results_by_index: Dict[int, RegionResult] = {}
-    for index, region in enumerate(program.regions):
-        results_by_index[index] = run_region(
-            region,
-            machine,
-            scheduler,
-            check_values=check_values,
-            capture_errors=capture_errors,
-            registry=registry,
-            verify=verify,
-        )
-    return [results_by_index[i] for i in range(len(program.regions))]
-
-
 def _run_regions_engine(
     engine: "CompilationEngine",
     program: Program,
@@ -334,8 +310,8 @@ def _run_regions_engine(
             capture_errors=capture_errors,
             verify=verify,
             collect_metrics=registry is not None,
-            # Serial engine tasks record into the ambient tracer
-            # directly; workers need a private tracer shipped back.
+            # Inline tasks record into the ambient tracer directly;
+            # workers need a private tracer shipped back.
             trace=tracer.enabled and engine.jobs > 1,
         )
         for index, region in enumerate(program.regions)
@@ -439,10 +415,12 @@ def run_program(
     ``"failed"`` on the program) instead of aborting the whole program;
     pass ``capture_errors=False`` to restore fail-fast behavior.
 
-    Region→result association is by index: results are merged back in
-    region order no matter which worker finished first (or, serially,
-    how the loop was interleaved), so ``jobs=1`` and ``jobs=N`` produce
-    identical results.
+    Every call runs through :meth:`~repro.engine.pool.CompilationEngine.
+    run_tasks`, the one region-task loop: without an ``engine`` argument
+    a private engine is built for the call (inline at ``jobs=1``) and
+    closed afterwards.  Region→result association is by index: results
+    are merged back in region order no matter which worker finished
+    first, so ``jobs=1`` and ``jobs=N`` produce identical results.
 
     Args:
         program: The program whose regions are scheduled.
@@ -458,7 +436,7 @@ def run_program(
         verify: Gate every region on the static verifier in addition to
             the simulator (see :func:`run_region`).
         jobs: Worker-process count for region fan-out; ``1`` (the
-            default) stays on the classic in-process path.
+            default) runs every region inline in this process.
         cache: Optional :class:`~repro.engine.cache.ScheduleCache`
             consulted per region (hits skip scheduling entirely and
             replay recorded simulator numbers).
@@ -466,40 +444,29 @@ def run_program(
             to reuse across calls (its pool stays warm); overrides
             ``jobs``/``cache``/``resilience``.
         resilience: Optional :class:`~repro.engine.resilience.
-            ResilienceConfig`; when given, an engine is created even for
-            ``jobs=1`` and runs on the resilient path (deadlines,
-            retries, circuit breakers).  ``None`` (the default) keeps
-            the classic byte-identical execution paths.
+            ResilienceConfig` (deadlines, retries, circuit breakers) for
+            the call's engine; ``None`` (the default) is the engine's
+            null policy.  Ignored when a pre-built ``engine`` is passed.
         ledger: Optional :class:`~repro.observability.flight.
-            FlightLedger`; when given, an engine is created even for
-            ``jobs=1`` and every region task appends one flight record
-            (results stay byte-identical — the engine's inline path is
-            the serial harness).  Ignored when a pre-built ``engine``
-            is passed: that engine's own ledger applies.
+            FlightLedger`; when given, every region task appends one
+            flight record.  Ignored when a pre-built ``engine`` is
+            passed: that engine's own ledger applies.
 
     Returns:
         The aggregated :class:`ProgramResult`.
     """
     own_engine: Optional["CompilationEngine"] = None
-    if engine is None and (
-        jobs > 1 or cache is not None or resilience is not None or ledger is not None
-    ):
+    if engine is None:
         from ..engine.pool import CompilationEngine
 
         engine = own_engine = CompilationEngine(
             jobs=jobs, cache=cache, resilience=resilience, ledger=ledger
         )
     try:
-        if engine is None:
-            region_results = _run_regions_serial(
-                program, machine, scheduler, check_values, capture_errors,
-                registry, verify,
-            )
-        else:
-            region_results = _run_regions_engine(
-                engine, program, machine, scheduler, check_values,
-                capture_errors, registry, verify,
-            )
+        region_results = _run_regions_engine(
+            engine, program, machine, scheduler, check_values,
+            capture_errors, registry, verify,
+        )
     finally:
         if own_engine is not None:
             own_engine.close()

@@ -65,7 +65,8 @@ class FlightRecord:
         execute_s: ``finish_s - start_s`` (clamped at 0) — time a
             process actually spent on the task.
         attempts: Executions the task took (1 = first try succeeded).
-        route_level: Circuit-breaker routing floor the task ran with.
+        route_level: Routing floor the task ran with: the larger of the
+            chain's configured ``min_level`` and its breaker's floor.
         breaker: Breaker state (``closed``/``open``/``half-open``) for
             the task's (scheduler, machine) cell at completion, or
             ``None`` when breakers don't apply.

@@ -48,9 +48,10 @@ from ..engine.pool import (
     RegionTask,
     TaskOutcome,
     execute_task,
+    flight_record,
 )
 from ..harness.experiment import STATUS_OK, aggregate_program_result
-from ..harness.results import RegionResult, program_result_to_dict
+from ..harness.results import program_result_to_dict
 from ..observability.flight import FlightLedger, FlightRecord
 from ..observability.metrics import MetricsRegistry
 from ..schedulers.base import Scheduler
@@ -290,23 +291,17 @@ class CompileServer:
         started = time.monotonic()
         try:
             method, path, headers = _parse_head(header_blob)
+            length = int(headers.get("content-length", "0") or "0")
+            if length < 0:
+                raise ValueError(f"negative Content-Length {length}")
         except ValueError:
             await self._respond(
-                writer, 400,
-                {"kind": "error",
-                 "error": {"type": "bad_request", "field": "http",
-                           "message": "malformed request head"}},
-                started,
+                writer, 400, _bad_http("malformed request head"), started
             )
             return False
-        length = int(headers.get("content-length", "0") or "0")
         if length > self.config.max_body_bytes:
             await self._respond(
-                writer, 413,
-                {"kind": "error",
-                 "error": {"type": "bad_request", "field": "http",
-                           "message": "request body too large"}},
-                started,
+                writer, 413, _bad_http("request body too large"), started
             )
             return False
         body = b""
@@ -617,14 +612,13 @@ class CompileServer:
     def _serve_warm(self, parsed: ParsedRequest) -> Dict[str, Any]:
         """Answer a fully-warm request on the fast lane (worker thread).
 
-        Replays each region's cached schedule via a direct
-        :meth:`~repro.engine.cache.ScheduleCache.get` on the request's
-        already-computed fingerprints — no engine queueing and no
-        re-canonicalization, which is what keeps warm responses
-        sub-millisecond.  A region whose entry was evicted between the
-        advisory probe and this lookup falls back to
-        :func:`~repro.engine.pool.execute_task` inline.  Emits the same
-        flight records the engine would.
+        Runs each region through :func:`~repro.engine.pool.execute_task`
+        with the request's already-computed fingerprint — no engine
+        queueing and no re-canonicalization, which is what keeps warm
+        responses sub-millisecond.  A region whose entry was evicted
+        between the advisory probe and this lookup is compiled inline
+        by the same call.  Each region appends the engine's own
+        :func:`~repro.engine.pool.flight_record` row.
 
         Args:
             parsed: The validated request.
@@ -633,39 +627,12 @@ class CompileServer:
             The compile response payload.
         """
         tasks = self._build_tasks(parsed)
-        outcomes = []
-        for task, fingerprint in zip(tasks, parsed.fingerprints):
-            started = time.time()
-            lookup = time.perf_counter()
-            hit = self.cache.get(fingerprint, task.region)
-            if hit is None:
-                outcomes.append(execute_task(task, self.cache))
-                continue
-            result = RegionResult(
-                region_name=task.region.name,
-                cycles=hit.cycles,
-                transfers=hit.transfers,
-                utilization=hit.utilization,
-                compile_seconds=time.perf_counter() - lookup,
-                n_instructions=len(task.region.ddg),
-                comm_busy=hit.comm_busy,
-                verified=hit.verified,
-                diagnostics=list(hit.diagnostics),
-            )
-            outcomes.append(
-                TaskOutcome(
-                    index=task.index,
-                    result=result,
-                    schedule=hit.schedule,
-                    cache_status=CACHE_HIT,
-                    worker=os.getpid(),
-                    fingerprint=fingerprint.key,
-                    started_s=started,
-                    finished_s=time.time(),
-                )
-            )
+        outcomes = [
+            execute_task(task, self.cache, fingerprint)
+            for task, fingerprint in zip(tasks, parsed.fingerprints)
+        ]
         for task, outcome in zip(tasks, outcomes):
-            self._record_flight(task, outcome)
+            self.ledger.append(flight_record(task, outcome))
         return self._build_response(parsed, outcomes, served="cache")
 
     async def _batch_loop(self) -> None:
@@ -735,45 +702,6 @@ class CompileServer:
             for offset, region in enumerate(parsed.program.regions)
         ]
 
-    def _record_flight(self, task: RegionTask, outcome: TaskOutcome) -> None:
-        """Append one fast-lane task to the shared flight ledger.
-
-        Mirrors the engine's own ledger rows so ``repro timeline``
-        reads mixed fast-lane/engine ledgers unchanged.
-
-        Args:
-            task: The executed task.
-            outcome: Its outcome.
-        """
-        queue_wait = max(0.0, outcome.started_s - task.submit_s)
-        execute = max(0.0, outcome.finished_s - outcome.started_s)
-        self.ledger.append(
-            FlightRecord(
-                index=task.index,
-                region=task.region.name,
-                machine=task.machine.name,
-                scheduler=getattr(
-                    task.scheduler, "name", type(task.scheduler).__name__
-                ),
-                fingerprint=outcome.fingerprint,
-                cache_status=outcome.cache_status,
-                worker=outcome.worker,
-                submit_s=task.submit_s,
-                start_s=outcome.started_s,
-                finish_s=outcome.finished_s,
-                queue_wait_s=queue_wait,
-                execute_s=execute,
-                attempts=outcome.attempts,
-                route_level=task.route_level,
-                breaker=None,
-                degradation_level=outcome.degradation_level,
-                deadline_s=task.deadline_s,
-                deadline_slack_s=None,
-                status=outcome.result.status,
-                cycles=outcome.result.cycles,
-            )
-        )
-
     def _build_response(
         self,
         parsed: ParsedRequest,
@@ -841,6 +769,14 @@ def _parse_head(blob: bytes) -> Tuple[str, str, Dict[str, str]]:
         key, value = line.split(":", 1)
         headers[key.strip().lower()] = value.strip()
     return parts[0], parts[1], headers
+
+
+def _bad_http(message: str) -> Dict[str, Any]:
+    """The payload of a request rejected before its body is read."""
+    return {
+        "kind": "error",
+        "error": {"type": "bad_request", "field": "http", "message": message},
+    }
 
 
 def _not_allowed(allowed: str) -> Dict[str, Any]:

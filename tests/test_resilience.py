@@ -12,6 +12,8 @@ at-scale behavior (waves, kills, respawns) lives in
 from __future__ import annotations
 
 import json
+from concurrent.futures import Future
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
@@ -24,7 +26,9 @@ from repro.engine import (
     BreakerBoard,
     Budget,
     CircuitBreaker,
+    CompilationEngine,
     DeadlineExceeded,
+    RegionTask,
     ResilienceConfig,
     RetryPolicy,
     ScheduleCache,
@@ -43,6 +47,7 @@ from repro.harness.experiment import STATUS_TIMEOUT
 from repro.ir import RegionBuilder
 from repro.ir.regions import Program
 from repro.machine import ClusteredVLIW
+from repro.observability.flight import FlightLedger
 from repro.observability.metrics import RESILIENCE_COUNTERS, MetricsRegistry
 from repro.schedulers import (
     FallbackChain,
@@ -253,6 +258,34 @@ class TestChainRoutingFloor:
         with pytest.raises(ValueError):
             FallbackChain([UnifiedAssignAndSchedule()], min_level=-1)
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_engine_keeps_the_configured_floor(self, jobs):
+        """The engine raises a chain's floor to a breaker's, never
+        lowers it: every region is served by the second member."""
+        program = Program("floorp", [_region(f"fl_r{i}") for i in range(3)])
+        chain = FallbackChain(
+            [
+                ConvergentScheduler(seed=0),
+                UnifiedAssignAndSchedule(),
+                SingleClusterScheduler(),
+            ],
+            min_level=1,
+        )
+        ledger = FlightLedger()
+        result = run_program(
+            program, MACHINE, chain, check_values=False, jobs=jobs, ledger=ledger,
+        )
+        expected = run_program(
+            program, MACHINE, UnifiedAssignAndSchedule(), check_values=False,
+        )
+        assert result.ok
+        assert [r.cycles for r in result.regions] == [
+            r.cycles for r in expected.regions
+        ]
+        assert len(ledger.records) == len(program.regions)
+        assert all(r.degradation_level >= 1 for r in ledger.records)
+        assert chain.min_level == 1
+
 
 class TestDeadlineFingerprint:
     def test_deadline_changes_the_key_only_when_set(self):
@@ -433,6 +466,50 @@ class TestHarnessIntegration:
             ResilienceConfig(kill_tolerance_s=-1.0)
         with pytest.raises(ValueError):
             ResilienceConfig(max_pool_respawns=-1)
+
+
+class _SubmitBreaksOnSecondCall:
+    """Executor stand-in whose ``submit`` reports a broken pool.
+
+    The first task runs in-process; the second ``submit`` raises the
+    :exc:`BrokenProcessPool` a real pool raises once a worker died.
+    """
+
+    def __init__(self):
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        if self.calls == 2:
+            raise BrokenProcessPool("A child process terminated abruptly")
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+class TestBrokenPoolAtSubmit:
+    def test_no_region_is_lost(self):
+        regions = [_region(f"sb_r{i}") for i in range(5)]
+        tasks = [
+            RegionTask(
+                index=i, region=region, machine=MACHINE,
+                scheduler=ConvergentScheduler(seed=0), check_values=False,
+                capture_errors=True,
+            )
+            for i, region in enumerate(regions)
+        ]
+        executor = _SubmitBreaksOnSecondCall()
+        with CompilationEngine(jobs=2) as engine:
+            engine._executor = executor
+            outcomes = engine.run_tasks(tasks)
+            assert engine.pool_breaks == 1
+        assert executor.calls == 2
+        assert [o.index for o in outcomes] == list(range(len(regions)))
+        assert [o.result.region_name for o in outcomes] == [r.name for r in regions]
+        assert all(o.result.ok for o in outcomes)
 
 
 class TestHardenedCli:

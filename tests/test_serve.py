@@ -36,6 +36,7 @@ import time
 import pytest
 from hypothesis import given, settings
 
+import repro.serve.server as server_mod
 from repro.core.convergent import ConvergentScheduler
 from repro.engine import schedule_key
 from repro.engine.fingerprint import ddg_fingerprint
@@ -160,6 +161,54 @@ class TestEquivalence:
         assert warm["served"] == "cache"
         assert srv.cache.stats.hits > hits_before
         assert _canon(warm["result"]) == _canon(cold["result"])
+
+    def test_warm_lane_agrees_with_engine_cache_hits(self, monkeypatch):
+        """The warm lane replays a hit exactly as the engine does: same
+        region result (bar ``compile_seconds``) and the same ledger row
+        (bar timing, worker and index), region for region, over both
+        suites."""
+        warm_outcomes = []
+        execute_task = server_mod.execute_task
+
+        def recording_execute_task(*args):
+            warm_outcomes.append(execute_task(*args))
+            return warm_outcomes[-1]
+
+        monkeypatch.setattr(server_mod, "execute_task", recording_execute_task)
+        registry = scheduler_registry()
+        volatile = {"index", "worker", "submit_s", "start_s", "finish_s",
+                    "queue_wait_s", "execute_s"}
+
+        def rows(records):
+            return [
+                {k: v for k, v in r.to_dict().items() if k not in volatile}
+                for r in records
+            ]
+
+        def result(outcome):
+            return dict(vars(outcome.result), compile_seconds=0.0)
+
+        with ServerThread() as thread:
+            srv = thread.server
+            for spec, suite in (("raw4x4", RAW_SUITE), ("vliw4", VLIW_SUITE)):
+                machine = machine_from_spec(spec)
+                for benchmark in suite:
+                    program = build_benchmark(benchmark, machine)
+                    parsed = parse_request(
+                        compile_request(program, spec, "convergent"), registry
+                    )
+                    srv.engine.run_tasks(srv._build_tasks(parsed))  # fill
+                    n = len(program.regions)
+                    engine_hits = srv.engine.run_tasks(srv._build_tasks(parsed))
+                    engine_rows = rows(srv.ledger.records[-n:])
+                    warm_outcomes.clear()
+                    srv._serve_warm(parsed)
+                    assert [o.cache_status for o in engine_hits] == ["hit"] * n
+                    assert [o.cache_status for o in warm_outcomes] == ["hit"] * n
+                    assert [result(o) for o in warm_outcomes] == [
+                        result(o) for o in engine_hits
+                    ]
+                    assert rows(srv.ledger.records[-n:]) == engine_rows
 
     def test_every_served_task_emits_flight_records(self, server):
         payload = _metrics(server)
@@ -299,6 +348,21 @@ class TestProtocolRobustness:
         assert error["type"] == "bad_request"
         assert "message" in error and "field" in error
         assert "Traceback" not in error["message"]
+
+    @pytest.mark.parametrize("length", ["twelve", "-5"])
+    def test_malformed_content_length_gets_structured_400(self, server, length):
+        head = f"POST /compile HTTP/1.1\r\nContent-Length: {length}\r\n\r\n"
+        with socket.create_connection((server.host, server.port), timeout=10) as conn:
+            conn.sendall(head.encode())
+            reply = b""
+            while chunk := conn.recv(65536):
+                reply += chunk
+        status_line, _, rest = reply.partition(b"\r\n")
+        assert status_line == b"HTTP/1.1 400 Bad Request"
+        payload = json.loads(rest.partition(b"\r\n\r\n")[2])
+        assert payload["kind"] == "error"
+        assert payload["error"]["type"] == "bad_request"
+        assert payload["error"]["field"] == "http"
 
     def test_unknown_path_and_method(self, server):
         assert _call(server, "GET", "/frobnicate")[0] == 404
