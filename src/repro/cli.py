@@ -54,12 +54,13 @@ configuration error, 3 unexpected crash.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
 
 from .core import ConvergentScheduler, PASS_REGISTRY, sequence_for_machine
 from .core.search import search_sequence_for
@@ -100,8 +101,11 @@ from .observability import (
     tracing,
 )
 from .sim import simulate
-from .verify import scheduler_registry
-from .workloads import KERNELS, RAW_SUITE, VLIW_SUITE, build_benchmark
+from .verify import make_scheduler, scheduler_registry
+from .workloads import KERNELS, RAW_SUITE, VLIW_SUITE, build_benchmark, suite_for_machine
+
+if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
+    from .engine import CompilationEngine
 
 #: Scheduler name -> constructor; the verification sweep's registry is
 #: the single source of truth, so ``repro verify`` and ``repro
@@ -174,9 +178,7 @@ def _cmd_list(args: argparse.Namespace) -> int:
 def _cmd_schedule(args: argparse.Namespace) -> int:
     machine = parse_machine(args.machine)
     program = build_benchmark(args.benchmark, machine)
-    scheduler = SCHEDULERS[args.scheduler]()
-    if args.scheduler == "convergent" and args.seed is not None:
-        scheduler = ConvergentScheduler(seed=args.seed)
+    scheduler = make_scheduler(args.scheduler, args.seed)
     result = run_program(program, machine, scheduler)
     print(
         f"{args.benchmark} on {machine.name} with {args.scheduler}: "
@@ -236,70 +238,63 @@ def _cmd_fig10(args: argparse.Namespace) -> int:
 
 def _cmd_convergence(args: argparse.Namespace) -> int:
     machine = parse_machine(args.machine)
-    suite = RAW_SUITE if machine.name.startswith("raw") else VLIW_SUITE
-    study = convergence_study(machine, _split(args.benchmarks) or suite)
+    study = convergence_study(machine, _split(args.benchmarks) or suite_for_machine(machine))
     print(study.render())
     return 0
 
 
-def _make_cache(spec: Optional[str]):
-    """Build a :class:`~repro.engine.cache.ScheduleCache` from a
-    ``--cache`` value: ``"mem"`` for in-memory only, anything else is a
-    directory for the persistent layer; ``None`` disables caching."""
-    if spec is None:
-        return None
-    from .engine import ScheduleCache
+@contextlib.contextmanager
+def _engine_from_flags(args: argparse.Namespace) -> Iterator["CompilationEngine"]:
+    """The engine ``bench``, ``faults`` and ``verify`` run on.
 
-    if spec == "mem":
-        return ScheduleCache()
-    return ScheduleCache(disk_dir=spec)
+    Built from the verb's ``--jobs`` plus, where the verb has them,
+    ``--cache`` (``"mem"`` for in-memory only, anything else is a
+    directory for the persistent layer) and ``--ledger PATH``.  After
+    the verb's run it prints the cache's hit/miss line and flushes the
+    ledger to its path.
+    """
+    from .engine import CompilationEngine, ScheduleCache
 
-
-def _render_cache_stats(cache) -> str:
-    """One-line hit/miss/store/evict summary of a cache's run."""
-    stats = cache.stats
-    return (
-        f"schedule cache: {stats.hits} hits / {stats.misses} misses "
-        f"({100 * stats.hit_rate:.0f}% hit rate), "
-        f"{stats.stores} stored, {stats.evictions} evicted"
-    )
-
-
-def _flush_ledger(ledger: Optional[FlightLedger], path: Optional[str]) -> None:
-    """Flush a flight ledger to ``path`` and say so (no-op when unused)."""
-    if ledger is None or path is None:
-        return
-    ledger.flush(path)
-    print(f"flight ledger written to {path} ({len(ledger)} records)")
+    cache_spec = getattr(args, "cache", None)
+    cache = None
+    if cache_spec is not None:
+        cache = ScheduleCache(disk_dir=None if cache_spec == "mem" else cache_spec)
+    ledger_path = getattr(args, "ledger", None)
+    ledger = FlightLedger() if ledger_path else None
+    with CompilationEngine(jobs=args.jobs, cache=cache, ledger=ledger) as engine:
+        yield engine
+    if cache is not None:
+        stats = cache.stats
+        print(
+            f"schedule cache: {stats.hits} hits / {stats.misses} misses "
+            f"({100 * stats.hit_rate:.0f}% hit rate), "
+            f"{stats.stores} stored, {stats.evictions} evicted"
+        )
+    if ledger is not None:
+        ledger.flush(ledger_path)
+        print(f"flight ledger written to {ledger_path} ({len(ledger)} records)")
 
 
 def _cmd_faults(args: argparse.Namespace) -> int:
     """Run a seeded fault-injection campaign and print the report."""
     machine = parse_machine(args.machine)
-    suite = RAW_SUITE if machine.name.startswith("raw") else VLIW_SUITE
-    names = _split(args.benchmarks) or list(suite)
+    names = _split(args.benchmarks) or list(suite_for_machine(machine))
     regions = [
         region
         for name in names
         for region in build_benchmark(name, machine).regions
     ]
-    cache = _make_cache(args.cache)
-    ledger = FlightLedger() if args.ledger else None
-    report = run_campaign(
-        machine,
-        regions,
-        n_trials=args.trials,
-        seed=args.seed,
-        guarded_fraction=args.guarded_fraction,
-        jobs=args.jobs,
-        cache=cache,
-        fail_fast=args.fail_fast,
-        ledger=ledger,
-    )
-    print(report.render())
-    if cache is not None:
-        print(_render_cache_stats(cache))
-    _flush_ledger(ledger, args.ledger)
+    with _engine_from_flags(args) as engine:
+        report = run_campaign(
+            machine,
+            regions,
+            n_trials=args.trials,
+            seed=args.seed,
+            guarded_fraction=args.guarded_fraction,
+            fail_fast=args.fail_fast,
+            engine=engine,
+        )
+        print(report.render())
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
@@ -321,17 +316,14 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         benchmarks = _split(args.benchmarks)
         if benchmarks is None and args.quick:
             benchmarks = ["vvmul", "fir"]
-        cache = _make_cache(args.cache)
-        report = run_sweep(
-            machines=machines,
-            benchmarks=benchmarks,
-            schedulers=_split(args.schedulers),
-            jobs=args.jobs,
-            cache=cache,
-        )
-        print(report.render())
-        if cache is not None:
-            print(_render_cache_stats(cache))
+        with _engine_from_flags(args) as engine:
+            report = run_sweep(
+                machines=machines,
+                benchmarks=benchmarks,
+                schedulers=_split(args.schedulers),
+                engine=engine,
+            )
+            print(report.render())
         payload["sweep"] = [
             {
                 "machine": c.machine,
@@ -372,15 +364,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for machine in machines:
             suite = _split(args.benchmarks)
             if suite is None:
-                suite = (
-                    ["vvmul", "mxm"]
-                    if args.quick
-                    else list(
-                        RAW_SUITE
-                        if machine.name.startswith("raw")
-                        else VLIW_SUITE
-                    )
-                )
+                suite = ["vvmul", "mxm"] if args.quick else list(suite_for_machine(machine))
             regions = [
                 region
                 for name in suite
@@ -770,24 +754,18 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_OK if comparison.ok else EXIT_FAILURE
 
     machines = [parse_machine(s) for s in _split(args.machines)] if args.machines else None
-    cache = _make_cache(args.cache)
-    ledger = FlightLedger() if args.ledger else None
-    snapshot = run_bench(
-        machines=machines,
-        benchmarks=_split(args.benchmarks),
-        schedulers=_split(args.schedulers),
-        repeats=args.repeats,
-        seed=args.seed,
-        quick=args.quick,
-        check_values=args.check_values,
-        jobs=args.jobs,
-        cache=cache,
-        ledger=ledger,
-    )
-    print(_render_snapshot_summary(snapshot))
-    if cache is not None:
-        print(_render_cache_stats(cache))
-    _flush_ledger(ledger, args.ledger)
+    with _engine_from_flags(args) as engine:
+        snapshot = run_bench(
+            machines=machines,
+            benchmarks=_split(args.benchmarks),
+            schedulers=_split(args.schedulers),
+            repeats=args.repeats,
+            seed=args.seed,
+            quick=args.quick,
+            check_values=args.check_values,
+            engine=engine,
+        )
+        print(_render_snapshot_summary(snapshot))
 
     if args.against_latest:
         latest = latest_snapshot_path()
@@ -1007,11 +985,6 @@ def build_parser() -> argparse.ArgumentParser:
     faults.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for trial fan-out (same report as serial)",
-    )
-    faults.add_argument(
-        "--cache", metavar="DIR",
-        help="schedule cache directory (or 'mem'); trials store "
-             "surviving schedules but never serve from the cache",
     )
     faults.add_argument(
         "--fail-fast", action="store_true",

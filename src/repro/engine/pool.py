@@ -896,3 +896,29 @@ class CompilationEngine:
             delta = after[key] - before.get(key, 0)
             if delta:
                 self.telemetry.inc(f"cache.{key}", delta)
+
+
+@contextlib.contextmanager
+def engine_or_inline(
+    engine: Optional[CompilationEngine], cache: Optional[ScheduleCache] = None
+) -> Iterator[CompilationEngine]:
+    """Yield ``engine``, or an inline engine built and closed here.
+
+    Every harness entry point takes one optional engine and runs on it
+    through this helper.
+
+    Args:
+        engine: The caller's engine; it belongs to the caller and is
+            left open.  ``None`` builds a private inline
+            :class:`CompilationEngine` for the ``with`` block.
+        cache: Schedule cache for the inline engine; ignored when
+            ``engine`` is given.
+
+    Returns:
+        A context manager yielding the engine to run on.
+    """
+    if engine is not None:
+        yield engine
+        return
+    with CompilationEngine(cache=cache) as inline:
+        yield inline

@@ -37,7 +37,7 @@ from ..schedulers.uas import UnifiedAssignAndSchedule
 from .chaos import FAULT_REGISTRY, make_fault
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..engine.cache import ScheduleCache
+    from ..engine.pool import CompilationEngine
     from ..observability.flight import FlightLedger
 
 #: How a trial survived its injected fault.
@@ -165,10 +165,10 @@ def _run_trial(plan: TrialPlan) -> InjectionOutcome:
     scheduler state *in the executing process* — only the picklable
     :class:`InjectionOutcome` travels back to the parent.
 
-    Trials never *consult* the schedule cache (a hit would skip the
-    defense stack, making the trial unclassifiable); when the engine
-    carries one, surviving schedules are *stored* so ordinary runs with
-    an identical configuration can reuse them.
+    Trials never touch the schedule cache: a hit would skip the
+    defense stack, making the trial unclassifiable, and a stored entry
+    could never be hit, because its key includes the injected fault
+    pass.
 
     Args:
         plan: The pre-drawn trial recipe.
@@ -186,7 +186,7 @@ def _run_trial(plan: TrialPlan) -> InjectionOutcome:
         [convergent, UnifiedAssignAndSchedule(), SingleClusterScheduler()],
         check_values=plan.check_values,
     )
-    result, schedule = _run_region(
+    result, _ = _run_region(
         plan.region,
         plan.machine,
         chain,
@@ -194,30 +194,6 @@ def _run_trial(plan: TrialPlan) -> InjectionOutcome:
         True,
         plan.verify,
     )
-    from ..engine.pool import worker_cache
-
-    cache = worker_cache()
-    if cache is not None and result.ok and schedule is not None:
-        from ..engine.fingerprint import schedule_key
-
-        cache.put(
-            schedule_key(
-                plan.region,
-                plan.machine,
-                chain,
-                check_values=plan.check_values,
-                verify=plan.verify,
-            ),
-            schedule,
-            cycles=result.cycles,
-            transfers=result.transfers,
-            utilization=result.utilization,
-            comm_busy=result.comm_busy,
-            compile_seconds=result.compile_seconds,
-            verified=result.verified,
-            diagnostics=result.diagnostics,
-        )
-
     trace = convergent.last_result.trace if convergent.last_result else None
     n_guard_events = len(trace.guard_events) if trace else 0
     quarantined = (
@@ -260,10 +236,8 @@ def run_campaign(
     fault_kinds: Optional[Sequence[str]] = None,
     check_values: bool = False,
     verify: bool = False,
-    jobs: int = 1,
-    cache: Optional["ScheduleCache"] = None,
     fail_fast: bool = False,
-    ledger: Optional["FlightLedger"] = None,
+    engine: Optional["CompilationEngine"] = None,
 ) -> CampaignReport:
     """Inject ``n_trials`` faults and report how each was survived.
 
@@ -282,24 +256,21 @@ def run_campaign(
             verifier (:mod:`repro.verify`) via the harness, so a trial
             only counts as survived if its recovered schedule is
             *provably* legal, not just simulator-accepted.
-        jobs: Worker processes to fan trials out over.  All randomness
-            is pre-drawn into per-trial plans and outcomes are merged
-            in trial order, so ``jobs=N`` reports exactly what
-            ``jobs=1`` does.
-        cache: Optional :class:`~repro.engine.cache.ScheduleCache`.
-            Trials *store* surviving schedules but never serve from the
-            cache (see :func:`_run_trial`), so classification stays
-            faithful.
         fail_fast: Stop dispatching new trial chunks as soon as one
             trial crashes (``defense == "crash"``); the report is then
             marked ``truncated``.  Outcomes that already ran keep their
             trial numbers, so a truncated report is a prefix of the
             full one.
-        ledger: Optional :class:`~repro.observability.flight.
-            FlightLedger`; each trial appends one flight record —
-            worker pid, queue wait vs execute seconds, survival status
-            — built parent-side from timestamps the trial stamps in the
-            executing process.  The report itself is unaffected.
+        engine: Optional :class:`~repro.engine.pool.CompilationEngine`
+            the trials fan out over; without one, a private inline
+            engine is built and closed.  All randomness is pre-drawn
+            into per-trial plans and outcomes are merged in trial
+            order, so any ``engine.jobs`` reports exactly what an
+            inline engine does.  When the engine carries a flight
+            ledger, each trial appends one flight record — worker pid,
+            queue wait vs execute seconds, survival status, fallback
+            level — built parent-side from timestamps the trial stamps
+            in the executing process.  The report itself is unaffected.
     """
     if not regions:
         raise ValueError("campaign needs at least one region")
@@ -336,33 +307,30 @@ def run_campaign(
             )
         )
 
-    from ..engine.pool import CompilationEngine
+    from ..engine.pool import engine_or_inline
 
-    engine = CompilationEngine(jobs=jobs, cache=cache)
     report = CampaignReport(machine_name=machine.name, seed=seed)
+    with engine_or_inline(engine) as engine:
 
-    def dispatch(chunk: List[TrialPlan]) -> None:
-        submit_s = time.time()
-        outcomes = engine.map(_run_trial, chunk)
-        report.outcomes.extend(outcomes)
-        if ledger is not None:
-            _record_trials(ledger, machine, outcomes, submit_s)
+        def dispatch(chunk: List[TrialPlan]) -> None:
+            submit_s = time.time()
+            outcomes = engine.map(_run_trial, chunk)
+            report.outcomes.extend(outcomes)
+            if engine.ledger is not None:
+                _record_trials(engine.ledger, machine, outcomes, submit_s)
 
-    try:
         if not fail_fast:
             dispatch(plans)
             return report
         # Fail-fast: dispatch in chunks so a crash stops the campaign
         # within one chunk instead of after all n_trials.
-        chunk_size = max(jobs, 1) * 4
+        chunk_size = engine.jobs * 4
         for start in range(0, len(plans), chunk_size):
             dispatch(plans[start : start + chunk_size])
             if any(o.defense == DEFENSE_NONE for o in report.outcomes):
                 report.truncated = start + chunk_size < len(plans)
                 break
         return report
-    finally:
-        engine.close()
 
 
 def _record_trials(
@@ -376,8 +344,10 @@ def _record_trials(
     Records are built parent-side from the worker-stamped timestamps:
     queue wait is the gap between the chunk's dispatch and the trial's
     start in the executing process, execute is the trial's own wall
-    time.  Trials never serve from the cache, so ``cache_status`` is
-    always ``"off"``.
+    time.  Trials never touch the cache, so ``cache_status`` is always
+    ``"off"``.  The chain level that produced the schedule is the
+    trial's ``degradation_level``; trials are never routed, so
+    ``route_level`` is 0.
 
     Args:
         ledger: Destination flight ledger.
@@ -405,7 +375,8 @@ def _record_trials(
                 queue_wait_s=max(0.0, start - submit_s),
                 execute_s=max(0.0, finish - start),
                 attempts=1,
-                route_level=outcome.fallback_level,
+                route_level=0,
+                degradation_level=outcome.fallback_level,
                 status="ok" if outcome.validated else "failed",
                 cycles=outcome.result.cycles,
             )

@@ -26,8 +26,6 @@ from ..sim.simulator import SimulationReport, simulate
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.cache import ScheduleCache
     from ..engine.pool import CompilationEngine
-    from ..engine.resilience import ResilienceConfig
-    from ..observability.flight import FlightLedger
 
 #: Region/program completed with a verified schedule.
 STATUS_OK = "ok"
@@ -402,11 +400,8 @@ def run_program(
     capture_errors: bool = True,
     registry: Optional[MetricsRegistry] = None,
     verify: bool = False,
-    jobs: int = 1,
     cache: Optional["ScheduleCache"] = None,
     engine: Optional["CompilationEngine"] = None,
-    resilience: Optional["ResilienceConfig"] = None,
-    ledger: Optional["FlightLedger"] = None,
 ) -> ProgramResult:
     """Schedule every region of ``program``; weight cycles by trip count.
 
@@ -416,11 +411,12 @@ def run_program(
     pass ``capture_errors=False`` to restore fail-fast behavior.
 
     Every call runs through :meth:`~repro.engine.pool.CompilationEngine.
-    run_tasks`, the one region-task loop: without an ``engine`` argument
-    a private engine is built for the call (inline at ``jobs=1``) and
-    closed afterwards.  Region→result association is by index: results
-    are merged back in region order no matter which worker finished
-    first, so ``jobs=1`` and ``jobs=N`` produce identical results.
+    run_tasks`, the one region-task loop, on the ``engine`` it is handed
+    or, without one, on an inline engine built for the call and closed
+    afterwards.  Region→result association is by index: results are
+    merged back in region order no matter which worker finished first,
+    so an inline engine and a ``jobs=N`` engine produce identical
+    results.
 
     Args:
         program: The program whose regions are scheduled.
@@ -435,41 +431,25 @@ def run_program(
             attached as ``ProgramResult.metrics``.
         verify: Gate every region on the static verifier in addition to
             the simulator (see :func:`run_region`).
-        jobs: Worker-process count for region fan-out; ``1`` (the
-            default) runs every region inline in this process.
-        cache: Optional :class:`~repro.engine.cache.ScheduleCache`
-            consulted per region (hits skip scheduling entirely and
-            replay recorded simulator numbers).
-        engine: Pre-built :class:`~repro.engine.pool.CompilationEngine`
-            to reuse across calls (its pool stays warm); overrides
-            ``jobs``/``cache``/``resilience``.
-        resilience: Optional :class:`~repro.engine.resilience.
-            ResilienceConfig` (deadlines, retries, circuit breakers) for
-            the call's engine; ``None`` (the default) is the engine's
-            null policy.  Ignored when a pre-built ``engine`` is passed.
-        ledger: Optional :class:`~repro.observability.flight.
-            FlightLedger`; when given, every region task appends one
-            flight record.  Ignored when a pre-built ``engine`` is
-            passed: that engine's own ledger applies.
+        cache: Optional :class:`~repro.engine.cache.ScheduleCache` for
+            the inline engine (hits skip scheduling entirely and replay
+            recorded simulator numbers).  Ignored when ``engine`` is
+            passed: that engine's own cache applies.
+        engine: Optional :class:`~repro.engine.pool.CompilationEngine`;
+            its worker count, cache, resilience policy and flight
+            ledger all apply.  It belongs to the caller and is not
+            closed, so its pool stays warm across calls.
 
     Returns:
         The aggregated :class:`ProgramResult`.
     """
-    own_engine: Optional["CompilationEngine"] = None
-    if engine is None:
-        from ..engine.pool import CompilationEngine
+    from ..engine.pool import engine_or_inline
 
-        engine = own_engine = CompilationEngine(
-            jobs=jobs, cache=cache, resilience=resilience, ledger=ledger
-        )
-    try:
+    with engine_or_inline(engine, cache) as engine:
         region_results = _run_regions_engine(
             engine, program, machine, scheduler, check_values,
             capture_errors, registry, verify,
         )
-    finally:
-        if own_engine is not None:
-            own_engine.close()
     return aggregate_program_result(
         program, machine.name, scheduler.name, region_results, registry
     )

@@ -32,8 +32,7 @@ from ..schedulers.base import Scheduler
 from .experiment import ProgramResult, run_program
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..engine.cache import ScheduleCache
-    from ..observability.flight import FlightLedger
+    from ..engine.pool import CompilationEngine
 
 #: Phases extracted from the traced run into ``Measurement.phase_seconds``.
 PHASE_NAMES = ("converge", "simulate", "list_schedule", "extract_assignment")
@@ -107,8 +106,7 @@ def measure_program(
     repeats: int = 3,
     check_values: bool = False,
     collect_phases: bool = True,
-    cache: Optional["ScheduleCache"] = None,
-    ledger: Optional["FlightLedger"] = None,
+    engine: Optional["CompilationEngine"] = None,
 ) -> Measurement:
     """Run one bench cell: K timed repeats plus an optional traced run.
 
@@ -122,16 +120,15 @@ def measure_program(
             either way and cycle counts are unaffected.
         collect_phases: Also do one traced run for the per-phase
             breakdown and per-pass churn/entropy (not timed).
-        cache: Optional :class:`~repro.engine.cache.ScheduleCache`
-            consulted by every repeat.  Quality fields are unaffected
-            (hits replay recorded simulator numbers), but timing and
-            phase/churn fields then describe the *cached* compile path
-            — leave it off when the cost columns must reflect fresh
-            scheduling.
-        ledger: Optional :class:`~repro.observability.flight.
-            FlightLedger`; every repeat (and the traced run) appends
-            per-region flight records into it.  Quality fields are
-            unaffected — the engine's inline path is the serial harness.
+        engine: Optional :class:`~repro.engine.pool.CompilationEngine`
+            shared by every repeat and the traced run; without one, a
+            private inline engine is built and closed.  Quality fields
+            are unaffected by its cache (hits replay recorded simulator
+            numbers), but timing and phase/churn fields then describe
+            the *cached* compile path — give it no cache when the cost
+            columns must reflect fresh scheduling.  When it carries a
+            flight ledger, every repeat (and the traced run) appends
+            per-region flight records into it.
 
     Returns:
         The assembled :class:`Measurement`; ``result`` carries the
@@ -139,26 +136,29 @@ def measure_program(
     """
     if repeats < 1:
         raise ValueError("repeats must be >= 1")
+    from ..engine.pool import engine_or_inline
+
     result: Optional[ProgramResult] = None
     runs: List[float] = []
-    for index in range(repeats):
-        registry = MetricsRegistry() if index == 0 else None
-        outcome = run_program(
-            program, machine, scheduler, check_values=check_values,
-            registry=registry, cache=cache, ledger=ledger,
-        )
-        runs.append(outcome.compile_seconds)
-        if result is None:
-            result = outcome
-    measurement = Measurement(result=result, compile_seconds_runs=runs)
-    if collect_phases:
-        tracer = Tracer()
-        with tracing(tracer):
-            run_program(
+    with engine_or_inline(engine) as engine:
+        for index in range(repeats):
+            registry = MetricsRegistry() if index == 0 else None
+            outcome = run_program(
                 program, machine, scheduler, check_values=check_values,
-                cache=cache, ledger=ledger,
+                registry=registry, engine=engine,
             )
-        _fold_trace(measurement, tracer)
+            runs.append(outcome.compile_seconds)
+            if result is None:
+                result = outcome
+        measurement = Measurement(result=result, compile_seconds_runs=runs)
+        if collect_phases:
+            tracer = Tracer()
+            with tracing(tracer):
+                run_program(
+                    program, machine, scheduler, check_values=check_values,
+                    engine=engine,
+                )
+            _fold_trace(measurement, tracer)
     return measurement
 
 

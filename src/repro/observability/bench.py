@@ -42,17 +42,10 @@ from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
 from ..machine import ClusteredVLIW, Machine, raw_with_tiles
-from ..schedulers import (
-    PartialComponentClustering,
-    RawccScheduler,
-    SingleClusterScheduler,
-    UnifiedAssignAndSchedule,
-)
 from ..workloads import build_benchmark, suite_for_machine
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from ..engine.cache import ScheduleCache
-    from .flight import FlightLedger
+    from ..engine.pool import CompilationEngine
 
 PathLike = Union[str, Path]
 
@@ -79,27 +72,6 @@ BASELINE_SCHEDULER = "single"
 #: Timing repeats per cell: full tier vs. ``--quick``.
 DEFAULT_REPEATS = 3
 QUICK_REPEATS = 1
-
-
-def _make_scheduler(name: str, seed: int):
-    """Fresh scheduler instance for one cell."""
-    if name == "convergent":
-        # Imported lazily: repro.core imports this package's siblings
-        # during its own init; a top-level import would cycle.
-        from ..core import ConvergentScheduler
-
-        return ConvergentScheduler(seed=seed)
-    factories = {
-        "rawcc": RawccScheduler,
-        "uas": UnifiedAssignAndSchedule,
-        "pcc": PartialComponentClustering,
-        "single": SingleClusterScheduler,
-    }
-    try:
-        return factories[name]()
-    except KeyError:
-        known = ", ".join(["convergent"] + sorted(factories))
-        raise KeyError(f"unknown bench scheduler {name!r}; available: {known}") from None
 
 
 def default_machines() -> List[Machine]:
@@ -376,23 +348,24 @@ def _measure_cell_task(spec: _CellSpec) -> Dict[str, object]:
         baseline bookkeeping), and — when ``spec.flight`` — the cell's
         per-region ``flight`` records as JSON-safe dicts.
     """
-    from ..engine.pool import worker_cache
+    from ..engine.pool import CompilationEngine, worker_cache
     from ..harness.measure import measure_program
+    from ..verify.sweep import make_scheduler
     from .flight import FlightLedger
 
     cell_ledger = FlightLedger() if spec.flight else None
     program = build_benchmark(spec.benchmark, spec.target)
-    scheduler = _make_scheduler(spec.scheduler, spec.seed)
-    measurement = measure_program(
-        program,
-        spec.target,
-        scheduler,
-        repeats=spec.repeats,
-        check_values=spec.check_values,
-        collect_phases=spec.collect_phases,
-        cache=worker_cache(),
-        ledger=cell_ledger,
-    )
+    scheduler = make_scheduler(spec.scheduler, spec.seed)
+    with CompilationEngine(cache=worker_cache(), ledger=cell_ledger) as engine:
+        measurement = measure_program(
+            program,
+            spec.target,
+            scheduler,
+            repeats=spec.repeats,
+            check_values=spec.check_values,
+            collect_phases=spec.collect_phases,
+            engine=engine,
+        )
     cell = _assemble_cell(
         spec.benchmark, spec.machine.name, spec.scheduler, measurement
     )
@@ -414,9 +387,7 @@ def run_bench(
     check_values: bool = False,
     collect_phases: bool = True,
     snapshot_id: int = 0,
-    jobs: int = 1,
-    cache: Optional["ScheduleCache"] = None,
-    ledger: Optional["FlightLedger"] = None,
+    engine: Optional["CompilationEngine"] = None,
 ) -> BenchSnapshot:
     """Run the benchmark matrix and assemble a :class:`BenchSnapshot`.
 
@@ -440,27 +411,28 @@ def run_bench(
             phase/churn breakdown.
         snapshot_id: Identity recorded in the snapshot (the caller
             knows the target filename; 0 for in-memory snapshots).
-        jobs: Worker processes to fan cells out over; cells are merged
-            back in plan order, so quality columns are byte-identical
-            to a serial run.
-        cache: Optional :class:`~repro.engine.cache.ScheduleCache`;
-            hits replay recorded quality numbers (identical cells, much
-            faster), and aggregate hit/miss counters land in the
-            snapshot's ``config["cache"]``.
-        ledger: Optional :class:`~repro.observability.flight.
-            FlightLedger`; every cell's per-region flight records are
-            folded into it in plan order.  Quality columns are
-            byte-identical with the ledger on or off (the records ride
-            beside the measurement, never in it).
+        engine: Optional :class:`~repro.engine.pool.CompilationEngine`
+            the cells fan out over; without one, a private inline
+            engine is built and closed.  Cells are merged back in plan
+            order, so quality columns are byte-identical for any
+            ``engine.jobs``.  Its cache serves every cell (hits replay
+            recorded quality numbers: identical cells, much faster) and
+            its hit/miss counters land in the snapshot's
+            ``config["cache"]``.  Its flight ledger receives every
+            cell's per-region records in plan order; quality columns
+            are byte-identical with the ledger on or off (the records
+            ride beside the measurement, never in it).
 
     Returns:
         The assembled snapshot with cells sorted by
         (machine, benchmark, scheduler).
     """
     # Imported lazily to keep module import light and cycle-free.
-    from ..engine.pool import CompilationEngine
+    from ..engine.pool import engine_or_inline
 
     started = time.perf_counter()
+    # An inline engine carries no ledger.
+    ledger = engine.ledger if engine is not None else None
     machines = list(machines) if machines else default_machines()
     if repeats is None:
         repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
@@ -496,12 +468,10 @@ def run_bench(
                         flight=ledger is not None,
                     )
                 )
-    stats_before = cache.stats.to_dict() if cache is not None else {}
-    engine = CompilationEngine(jobs=jobs, cache=cache)
-    try:
+    with engine_or_inline(engine) as engine:
+        cache = engine.cache
+        stats_before = cache.stats.to_dict() if cache is not None else {}
         outcomes = engine.map(_measure_cell_task, specs)
-    finally:
-        engine.close()
     cache_totals: Dict[str, int] = {}
     if cache is not None:
         # map() folds worker deltas into the shared stats, so the
@@ -528,7 +498,7 @@ def run_bench(
         )
     cells.sort(key=lambda c: (c.machine, c.benchmark, c.scheduler))
     environment = environment_fingerprint()
-    environment["jobs"] = str(jobs)
+    environment["jobs"] = str(engine.jobs)
     # Engine-health counters ride in the environment block (stringified,
     # like its other fields) so every snapshot records how much resilience
     # machinery — retries, kills, breaker trips — its numbers needed.
@@ -542,7 +512,7 @@ def run_bench(
         "repeats": repeats,
         "seed": seed,
         "check_values": check_values,
-        "jobs": jobs,
+        "jobs": engine.jobs,
         "plan": bench_plan,
     }
     if cache is not None:

@@ -458,14 +458,14 @@ def build_corpus(config: LoadtestConfig) -> List[Tuple[str, bytes]]:
         The corpus, in deterministic order.
     """
     from ..machine import machine_from_spec
-    from ..workloads import RAW_SUITE, VLIW_SUITE, build_benchmark
+    from ..workloads import build_benchmark, suite_for_machine
 
     wanted = tuple(config.benchmarks or DEFAULT_BENCHMARKS)
     corpus = []
     for spec in config.machines:
         machine = machine_from_spec(spec)
         is_vliw = spec.startswith("vliw")
-        suite = VLIW_SUITE if is_vliw else RAW_SUITE
+        suite = suite_for_machine(machine)
         schedulers = config.schedulers or (
             DEFAULT_VLIW_SCHEDULERS if is_vliw else DEFAULT_RAW_SCHEDULERS
         )

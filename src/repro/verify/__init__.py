@@ -43,6 +43,7 @@ from .schedule_checks import verify_schedule
 from .sweep import (
     SweepCell,
     SweepReport,
+    make_scheduler,
     run_sweep,
     scheduler_registry,
 )
@@ -61,6 +62,7 @@ __all__ = [
     "analyze_pass",
     "default_fixtures",
     "make_diagnostic",
+    "make_scheduler",
     "run_sweep",
     "scheduler_registry",
     "verify_ddg",

@@ -8,14 +8,15 @@ legitimately *decline* a region (``SchedulingError`` — e.g. the
 single-cluster baseline refusing a multi-tile Raw region with hard bank
 affinity); declined cells are recorded as skipped, not failed.
 
-:func:`scheduler_registry` is the sweep's (and the CLI's) single source
-of truth for the registered schedulers.
+:func:`scheduler_registry` is the sweep's (and the CLI's and the bench's)
+single source of truth for the registered schedulers, and
+:func:`make_scheduler` the one way to build a seeded instance from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
 from ..machine.machine import Machine
 from ..schedulers.base import Scheduler
@@ -23,6 +24,9 @@ from ..schedulers.list_scheduler import SchedulingError
 from .ddg_checks import verify_ddg
 from .diagnostics import VerificationReport
 from .schedule_checks import verify_schedule
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from ..engine.pool import CompilationEngine
 
 #: Cell verified clean (no ERROR diagnostics).
 CELL_VERIFIED = "verified"
@@ -60,6 +64,31 @@ def scheduler_registry() -> Dict[str, Callable[[], Scheduler]]:
         "single": SingleClusterScheduler,
         "uas": UnifiedAssignAndSchedule,
     }
+
+
+def make_scheduler(name: str, seed: Optional[int] = None) -> Scheduler:
+    """Fresh instance of the registered scheduler ``name``.
+
+    Args:
+        name: Registry name (see :func:`scheduler_registry`).
+        seed: Optional seed, set on the instance's ``seed`` attribute as
+            :func:`repro.serve.wire.build_scheduler` does; schedulers
+            without one ignore it.
+
+    Returns:
+        The scheduler.
+
+    Raises:
+        KeyError: ``name`` is not registered.
+    """
+    registry = scheduler_registry()
+    if name not in registry:
+        known = ", ".join(sorted(registry))
+        raise KeyError(f"unknown scheduler {name!r}; available: {known}")
+    scheduler = registry[name]()
+    if seed is not None and hasattr(scheduler, "seed"):
+        scheduler.seed = seed
+    return scheduler
 
 
 @dataclass
@@ -153,7 +182,7 @@ class _SweepSpec:
 
 def _sweep_cell_task(spec: _SweepSpec) -> SweepCell:
     """Top-level pool target: build the scheduler and verify one cell."""
-    scheduler = scheduler_registry()[spec.scheduler_name]()
+    scheduler = make_scheduler(spec.scheduler_name)
     return _verify_cell(
         spec.machine,
         spec.benchmark,
@@ -169,8 +198,7 @@ def run_sweep(
     benchmarks: Optional[Sequence[str]] = None,
     schedulers: Optional[Sequence[str]] = None,
     warnings_as_errors: bool = False,
-    jobs: int = 1,
-    cache=None,
+    engine: Optional["CompilationEngine"] = None,
 ) -> SweepReport:
     """Schedule and statically verify a grid of workloads.
 
@@ -179,20 +207,21 @@ def run_sweep(
         benchmarks: Benchmark names; default each machine's suite.
         schedulers: Scheduler registry names; default all registered.
         warnings_as_errors: Also fail cells on WARNING diagnostics.
-        jobs: Worker processes to fan cells out over; cells come back
-            in grid order regardless of completion order.
-        cache: Optional :class:`~repro.engine.cache.ScheduleCache`.
-            The sweep is *read-only* on it: a hit replays the cached
-            schedule (skipping scheduling) and still verifies it
-            statically; nothing is stored, because the sweep never
-            simulates and so has no verified cycle numbers to record.
+        engine: Optional :class:`~repro.engine.pool.CompilationEngine`
+            the cells fan out over; without one, a private inline
+            engine is built and closed.  Cells come back in grid order
+            regardless of completion order.  The sweep is *read-only*
+            on the engine's cache: a hit replays the cached schedule
+            (skipping scheduling) and still verifies it statically;
+            nothing is stored, because the sweep never simulates and so
+            has no verified cycle numbers to record.
 
     Returns:
         The :class:`SweepReport`; the sweep is clean iff ``report.ok``.
     """
-    from ..engine.pool import CompilationEngine
+    from ..engine.pool import engine_or_inline
     from ..machine import ClusteredVLIW, RawMachine
-    from ..workloads import RAW_SUITE, VLIW_SUITE, build_benchmark
+    from ..workloads import build_benchmark, suite_for_machine
 
     if machines is None:
         machines = [ClusteredVLIW(4), RawMachine(4, 4)]
@@ -200,9 +229,7 @@ def run_sweep(
     names = list(schedulers) if schedulers is not None else sorted(registry)
     specs: List[_SweepSpec] = []
     for machine in machines:
-        suite = benchmarks
-        if suite is None:
-            suite = RAW_SUITE if machine.name.startswith("raw") else VLIW_SUITE
+        suite = benchmarks if benchmarks is not None else suite_for_machine(machine)
         for benchmark in suite:
             program = build_benchmark(benchmark, machine)
             for scheduler_name in names:
@@ -216,11 +243,8 @@ def run_sweep(
                             warnings_as_errors=warnings_as_errors,
                         )
                     )
-    engine = CompilationEngine(jobs=jobs, cache=cache)
-    try:
+    with engine_or_inline(engine) as engine:
         cells = engine.map(_sweep_cell_task, specs)
-    finally:
-        engine.close()
     report = SweepReport()
     report.cells.extend(cells)
     return report

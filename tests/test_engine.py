@@ -365,7 +365,8 @@ class TestResilienceEquivalence:
         resilient_serial = scrubbed(
             run_program(
                 program, machine, make_scheduler("convergent"),
-                check_values=False, resilience=self._config(),
+                check_values=False,
+                engine=CompilationEngine(resilience=self._config()),
             )
         )
         with CompilationEngine(jobs=2, resilience=self._config()) as engine:
@@ -406,7 +407,8 @@ class TestResilienceEquivalence:
         program = build_benchmark("vvmul", machine)
         result = run_program(
             program, machine, self._chain(raising=True),
-            check_values=False, verify=True, resilience=self._config(),
+            check_values=False, verify=True,
+            engine=CompilationEngine(resilience=self._config()),
         )
         assert result.ok
         assert all(r.verified for r in result.regions)
@@ -443,7 +445,8 @@ class TestResilienceEquivalence:
         program = build_benchmark("fir", machine)
         serial = run_program(
             program, machine, self._chain(raising=True),
-            check_values=False, resilience=self._config(),
+            check_values=False,
+            engine=CompilationEngine(resilience=self._config()),
         )
         with CompilationEngine(jobs=2, resilience=self._config()) as engine:
             parallel = run_program(
@@ -451,3 +454,81 @@ class TestResilienceEquivalence:
                 check_values=False, engine=engine,
             )
         assert scrubbed(parallel) == scrubbed(serial)
+
+
+class TestMapFanOutEquivalence:
+    """``engine.map`` at ``jobs=2`` ≡ an inline engine, for each harness
+    that fans its cells or trials out through it."""
+
+    def test_bench_cells_and_plan(self, engine2):
+        from repro.observability.bench import run_bench
+
+        kwargs = dict(
+            machines=[MACHINES["vliw4"]], benchmarks=["vvmul"], repeats=1,
+            collect_phases=False,
+        )
+        inline = run_bench(engine=CompilationEngine(), **kwargs)
+        pooled = run_bench(engine=engine2, **kwargs)
+        assert [(c.key, c.quality) for c in pooled.cells] == [
+            (c.key, c.quality) for c in inline.cells
+        ]
+        assert pooled.config["plan"] == inline.config["plan"]
+        assert (inline.config["jobs"], inline.environment["jobs"]) == (1, "1")
+        assert (pooled.config["jobs"], pooled.environment["jobs"]) == (2, "2")
+
+    def test_sweep_cells(self, engine2):
+        from repro.verify import run_sweep
+
+        def cells(report):
+            return [
+                (c.machine, c.benchmark, c.region, c.scheduler, c.status,
+                 c.detail, c.report.render() if c.report else None)
+                for c in report.cells
+            ]
+
+        kwargs = dict(machines=[MACHINES["vliw4"]], benchmarks=["vvmul"])
+        inline = run_sweep(engine=CompilationEngine(), **kwargs)
+        pooled = run_sweep(engine=engine2, **kwargs)
+        assert len(inline.cells) == len(SCHEDULERS)
+        assert cells(pooled) == cells(inline)
+
+    def test_campaign_outcomes_and_ledger_rows(self):
+        import dataclasses
+
+        from repro.faults import run_campaign
+        from repro.observability.flight import FlightLedger
+
+        machine = MACHINES["vliw4"]
+        regions = [
+            region
+            for name in ("vvmul", "fir")
+            for region in build_benchmark(name, machine).regions
+        ]
+
+        def outcomes(report):
+            return [
+                dataclasses.replace(
+                    o, result=dataclasses.replace(o.result, compile_seconds=0.0),
+                    worker=0, started_s=0.0, finished_s=0.0,
+                )
+                for o in report.outcomes
+            ]
+
+        def rows(ledger):
+            timing = ("worker", "submit_s", "start_s", "finish_s",
+                      "queue_wait_s", "execute_s")
+            return [
+                {k: v for k, v in r.to_dict().items() if k not in timing}
+                for r in ledger.records
+            ]
+
+        inline_ledger, pooled_ledger = FlightLedger(), FlightLedger()
+        inline = run_campaign(
+            machine, regions, n_trials=12, seed=0,
+            engine=CompilationEngine(ledger=inline_ledger),
+        )
+        with CompilationEngine(jobs=2, ledger=pooled_ledger) as engine:
+            pooled = run_campaign(machine, regions, n_trials=12, seed=0, engine=engine)
+        assert outcomes(pooled) == outcomes(inline)
+        assert len(inline_ledger) == 12
+        assert rows(pooled_ledger) == rows(inline_ledger)

@@ -310,7 +310,7 @@ class TestEngineLedger:
         ledger = FlightLedger()
         result = run_program(
             program, machine, ConvergentScheduler(seed=0),
-            check_values=False, ledger=ledger,
+            check_values=False, engine=CompilationEngine(ledger=ledger),
         )
         assert len(ledger) == len(program.regions)
         record = ledger.records[0]
@@ -330,7 +330,7 @@ class TestEngineLedger:
         ledger = FlightLedger()
         logged = run_program(
             program, machine, ConvergentScheduler(seed=0),
-            check_values=False, ledger=ledger,
+            check_values=False, engine=CompilationEngine(ledger=ledger),
         )
         assert scrubbed(logged) == scrubbed(plain)
         assert len(ledger) == len(program.regions)
@@ -360,8 +360,8 @@ class TestEngineLedger:
         ledger = FlightLedger()
         result = run_program(
             program, machine, FallbackChain(check_values=False),
-            check_values=False, ledger=ledger,
-            resilience=ResilienceConfig(),
+            check_values=False,
+            engine=CompilationEngine(resilience=ResilienceConfig(), ledger=ledger),
         )
         assert result.ok
         assert len(ledger) == len(program.regions)
@@ -399,7 +399,8 @@ class TestCampaignLedger:
         regions = build_benchmark("vvmul", machine).regions
         ledger = FlightLedger()
         report = run_campaign(
-            machine, regions, n_trials=4, seed=0, ledger=ledger
+            machine, regions, n_trials=4, seed=0,
+            engine=CompilationEngine(ledger=ledger),
         )
         assert report.n_trials == 4
         assert len(ledger) == 4
@@ -407,6 +408,23 @@ class TestCampaignLedger:
         assert all(r.worker > 0 for r in ledger.records)
         statuses = {r.status for r in ledger.records}
         assert statuses <= {"ok", "failed"}
+
+    def test_rows_carry_the_fallback_level_as_degradation(self):
+        """A trial's chain level is how far it degraded, not a routing
+        floor: trials are never routed."""
+        from repro.faults import run_campaign
+
+        machine = ClusteredVLIW(4)
+        regions = build_benchmark("vvmul", machine).regions
+        ledger = FlightLedger()
+        report = run_campaign(
+            machine, regions, n_trials=6, seed=0, guarded_fraction=0.0,
+            fault_kinds=["raise"], engine=CompilationEngine(ledger=ledger),
+        )
+        levels = [o.fallback_level for o in report.outcomes]
+        assert any(level >= 1 for level in levels)
+        assert [r.degradation_level for r in ledger.records] == levels
+        assert all(r.route_level == 0 for r in ledger.records)
 
 
 class TestTimelineAnalysis:

@@ -272,9 +272,10 @@ class TestChainRoutingFloor:
             min_level=1,
         )
         ledger = FlightLedger()
-        result = run_program(
-            program, MACHINE, chain, check_values=False, jobs=jobs, ledger=ledger,
-        )
+        with CompilationEngine(jobs=jobs, ledger=ledger) as engine:
+            result = run_program(
+                program, MACHINE, chain, check_values=False, engine=engine,
+            )
         expected = run_program(
             program, MACHINE, UnifiedAssignAndSchedule(), check_values=False,
         )
@@ -422,7 +423,7 @@ class TestHarnessIntegration:
             check_values=False,
             capture_errors=True,
             registry=registry,
-            resilience=ResilienceConfig(deadline_s=1e-9),
+            engine=CompilationEngine(resilience=ResilienceConfig(deadline_s=1e-9)),
         )
         assert not result.ok
         assert all(r.status == STATUS_TIMEOUT for r in result.regions)
@@ -449,7 +450,7 @@ class TestHarnessIntegration:
             chain,
             check_values=False,
             registry=registry,
-            resilience=ResilienceConfig(deadline_s=0.05),
+            engine=CompilationEngine(resilience=ResilienceConfig(deadline_s=0.05)),
         )
         assert result.ok
         assert registry.counters.get("resilience.timeouts", 0) == 0
@@ -563,8 +564,8 @@ class TestFailFastCampaign:
             seed=0,
             guarded_fraction=0.0,
             fault_kinds=["raise"],
-            jobs=1,
             fail_fast=True,
+            engine=CompilationEngine(),
         )
         # The chain absorbs every injected raise, so fail-fast must run
         # the full campaign and report it untruncated.
