@@ -287,10 +287,16 @@ def grouped_hop_distances(
     node = np.asarray([s for g in groups for s in g], dtype=np.int64)
     if node.size == 0:
         return dist
-    dist[gsrc, node] = 0
+    # The frontier is carried as flat keys ``group * n + node`` into
+    # ``dist`` viewed as one row.
+    flat_dist = dist.reshape(-1)
+    key = gsrc * n + node
+    flat_dist[key] = 0
+    owner = np.empty(k * n, dtype=np.int64)
     cap = n if max_depth is None else min(max_depth, n)
     depth = 0
-    while node.size and depth < cap:
+    while key.size and depth < cap:
+        node = key % n
         counts = indptr[node + 1] - indptr[node]
         total = int(counts.sum())
         if total == 0:
@@ -302,16 +308,19 @@ def grouped_hop_distances(
             - np.repeat(exclusive, counts)
             + np.repeat(starts, counts)
         )
-        nbr = indices[flat]
-        ngrp = np.repeat(gsrc, counts)
-        fresh = dist[ngrp, nbr] > depth + 1
-        ngrp, nbr = ngrp[fresh], nbr[fresh]
-        if ngrp.size == 0:
+        key = np.repeat(key - node, counts) + indices[flat]
+        key = key[flat_dist[key] > depth + 1]
+        if key.size == 0:
             break
-        dist[ngrp, nbr] = depth + 1
-        # The next frontier is exactly the set of pairs just assigned;
-        # scanning the distance matrix dedupes them without a sort.
-        gsrc, node = np.nonzero(dist == depth + 1)
+        flat_dist[key] = depth + 1
+        # The next frontier is the set of keys just assigned, which may
+        # repeat (two frontier nodes sharing a neighbour).  Stamp each
+        # slot with the position of a writer and keep the one position
+        # numpy left there: a dedupe without a sort or a matrix scan.
+        # Frontier order never changes integer hop counts.
+        stamp = np.arange(key.size, dtype=np.int64)
+        owner[key] = stamp
+        key = key[owner[key] == stamp]
         depth += 1
     return dist
 

@@ -27,6 +27,14 @@ serializations *define* an attribute-preserving isomorphism between the
 graphs.  An imperfect canonical order (hash ties broken by uid) can
 only cause a spurious cache miss, never a wrong hit.
 
+Every digest is SHA-256 over exactly the text ``json.dumps(payload,
+sort_keys=True, default=str)`` produces for its payload, but the text
+is spliced together from pre-encoded fragments rather than dumped per
+payload (see :func:`_canonicalize`).  ``tests/test_fingerprint_golden.py``
+pins the keys of the suite programs and checks the spliced text against
+a plain ``json.dumps`` oracle; a change to either requires bumping
+:data:`FINGERPRINT_SCHEMA_VERSION`.
+
 :data:`FINGERPRINT_FIELDS` is the audited schema: every field consumed
 by the fingerprint, grouped by component.  ``scripts/
 check_fingerprint_schema.py`` verifies the documentation in
@@ -38,9 +46,11 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from operator import attrgetter
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..ir.ddg import DataDependenceGraph
+from ..ir.instruction import DependenceEdge
 from ..ir.opcode import Opcode
 from ..ir.regions import Region
 from ..machine.machine import Machine
@@ -93,10 +103,33 @@ FINGERPRINT_FIELDS: Dict[str, Tuple[str, ...]] = {
 }
 
 
+#: The one encoder every payload and atom goes through.  It is built with
+#: exactly the options ``json.dumps(obj, sort_keys=True, default=str)``
+#: builds a fresh encoder with on every call, so its text is the same.
+_ENCODER = json.JSONEncoder(sort_keys=True, default=str)
+_encode = _ENCODER.encode
+
+
+def _digest_text(text: str) -> str:
+    """SHA-256 hex digest of an already-encoded JSON text."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 def _digest(payload: Any) -> str:
     """SHA-256 hex digest of a JSON-serializable payload."""
-    text = json.dumps(payload, sort_keys=True, default=str)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return _digest_text(_encode(payload))
+
+
+def _object_text(members: Dict[str, str]) -> str:
+    """JSON object text from pre-encoded member values.
+
+    Members are emitted in sorted-key order with ``json.dumps``'s
+    default separators, which is what ``sort_keys=True`` produces for
+    the same dict of decoded values.
+    """
+    return "{" + ", ".join(
+        _encode(name) + ": " + members[name] for name in sorted(members)
+    ) + "}"
 
 
 @dataclass(frozen=True)
@@ -126,10 +159,127 @@ class Fingerprint:
 # ----------------------------------------------------------------------
 
 
-def _node_signature(ddg: DataDependenceGraph, uid: int) -> List[Any]:
-    """Label-independent attribute signature of one instruction."""
-    inst = ddg.instruction(uid)
-    return [inst.opcode.value, inst.home_cluster, inst.bank, inst.immediate]
+def _atom_key(value: Any) -> Any:
+    """Memo key under which equal keys always encode to equal JSON text.
+
+    The bare value is not enough: ``1``, ``1.0`` and ``True`` (and
+    ``0.0`` / ``-0.0``) compare and hash equal but serialize
+    differently.
+    """
+    return None if value is None else (type(value), str(value))
+
+
+def _signature_texts(ddg: DataDependenceGraph) -> List[str]:
+    """JSON text of each instruction's attribute signature, by uid.
+
+    The signature is ``[opcode, home_cluster, bank, immediate]`` — what
+    the instruction is, never what it is called.  Each distinct
+    signature is encoded once per call.
+    """
+    memo: Dict[Tuple[Any, ...], str] = {}
+    texts = []
+    for inst in ddg.instructions:
+        home, bank, immediate = inst.home_cluster, inst.bank, inst.immediate
+        key = (inst.opcode, _atom_key(home), _atom_key(bank), _atom_key(immediate))
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _encode([inst.opcode.value, home, bank, immediate])
+        texts.append(text)
+    return texts
+
+
+_SRC = attrgetter("src")
+_DST = attrgetter("dst")
+
+
+def _edge_labels(ddg: DataDependenceGraph) -> Dict[int, str]:
+    """JSON text of each edge's ``[kind, latency]`` label, by edge ``id``.
+
+    Each distinct label is encoded once per call; the hash inputs'
+    ``[kind, latency, "<digest>"]`` entries and the edge list's
+    ``[src, dst, kind, latency]`` rows are spliced around it.  The ids
+    stay valid because the graph holds every edge for the whole call.
+    """
+    texts: Dict[Tuple[str, Any], str] = {}
+    labels: Dict[int, str] = {}
+    for edge in ddg.edges():
+        key = (edge.kind, _atom_key(edge.latency))
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = _encode([edge.kind, edge.latency])
+        labels[id(edge)] = text
+    return labels
+
+
+def _edge_entries(
+    edges: List[DependenceEdge],
+    far: Callable[[DependenceEdge], int],
+    hashes: List[str],
+    labels: Dict[int, str],
+) -> str:
+    """``[kind, latency, "<hash>"]`` entries of one node's edges, sorted.
+
+    ``hash`` is that of the edge's far endpoint (``far(edge)``).  The
+    order is that of sorting ``(kind, latency, hash)`` tuples; the sort
+    is stable, so equal tuples keep edge order.
+    """
+    if len(edges) > 1:
+        edges = sorted(edges, key=lambda e: (e.kind, e.latency, hashes[far(e)]))
+    return ", ".join(
+        [labels[id(e)][:-1] + ', "' + hashes[far(e)] + '"]' for e in edges]
+    )
+
+
+def _canonicalize(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
+    """The canonical permutation and the canonical DDG section's JSON text.
+
+    Every instruction gets a downward hash over ``["d", signature,
+    sorted in-edges, operands]`` (in-edges carry the producers'
+    downward hashes, operands list them in operand order) and an upward
+    hash over ``["u", signature, sorted out-edges]``; the combined hash
+    ``[down, up]`` orders the nodes.  Each hash input is spliced from
+    pre-encoded fragments — hex digests need no escaping, so
+    ``'"' + h + '"'`` is their JSON.
+
+    Everything is memoized within this one call only: graphs are
+    mutable, so a memo that outlived the call could serve the text of a
+    graph that has since changed — a wrong cache hit.  (The machine and
+    scheduler payloads are rebuilt on every call for the same reason.)
+    """
+    n = len(ddg)
+    instructions = ddg.instructions
+    signatures = _signature_texts(ddg)
+    labels = _edge_labels(ddg)
+    topo = ddg.topological_order()
+    down: List[str] = [""] * n
+    for uid in topo:
+        preds = _edge_entries(ddg.predecessors(uid), _SRC, down, labels)
+        operands = ", ".join(['"' + down[op] + '"' for op in instructions[uid].operands])
+        text = '["d", ' + signatures[uid] + ", [" + preds + "], [" + operands + "]]"
+        down[uid] = _digest_text(text)
+    up: List[str] = [""] * n
+    for uid in reversed(topo):
+        succs = _edge_entries(ddg.successors(uid), _DST, up, labels)
+        text = '["u", ' + signatures[uid] + ", [" + succs + "]]"
+        up[uid] = _digest_text(text)
+    combined = [_digest_text('["' + down[uid] + '", "' + up[uid] + '"]') for uid in range(n)]
+    order = sorted(range(n), key=lambda uid: (combined[uid], uid))
+    perm = [0] * n
+    for position, uid in enumerate(order):
+        perm[uid] = position
+    # Canonical positions are plain ints, whose str() is their JSON.
+    nodes = ", ".join(
+        "[" + signatures[uid] + ", ["
+        + ", ".join([str(perm[op]) for op in instructions[uid].operands]) + "]]"
+        for uid in order
+    )
+    rows = sorted(ddg.edges(), key=lambda e: (perm[e.src], perm[e.dst], e.kind, e.latency))
+    edges = ", ".join(
+        "[" + str(perm[e.src]) + ", " + str(perm[e.dst]) + ", " + labels[id(e)][1:]
+        for e in rows
+    )
+    text = _object_text({"nodes": "[" + nodes + "]", "edges": "[" + edges + "]"})
+    return tuple(perm), text
 
 
 def canonical_permutation(ddg: DataDependenceGraph) -> Tuple[int, ...]:
@@ -147,65 +297,21 @@ def canonical_permutation(ddg: DataDependenceGraph) -> Tuple[int, ...]:
     Returns:
         ``perm`` with ``perm[uid]`` the canonical position of ``uid``.
     """
-    n = len(ddg)
-    topo = ddg.topological_order()
-    down: List[str] = [""] * n
-    for uid in topo:
-        preds = sorted(
-            (e.kind, e.latency, down[e.src]) for e in ddg.predecessors(uid)
-        )
-        operands = [down[op] for op in ddg.instruction(uid).operands]
-        down[uid] = _digest(["d", _node_signature(ddg, uid), preds, operands])
-    up: List[str] = [""] * n
-    for uid in reversed(topo):
-        succs = sorted(
-            (e.kind, e.latency, up[e.dst]) for e in ddg.successors(uid)
-        )
-        up[uid] = _digest(["u", _node_signature(ddg, uid), succs])
-    combined = [_digest([down[uid], up[uid]]) for uid in range(n)]
-    order = sorted(range(n), key=lambda uid: (combined[uid], uid))
-    perm = [0] * n
-    for position, uid in enumerate(order):
-        perm[uid] = position
-    return tuple(perm)
-
-
-def canonical_ddg_payload(
-    ddg: DataDependenceGraph, permutation: Optional[Tuple[int, ...]] = None
-) -> Dict[str, Any]:
-    """The graph serialized in canonical coordinates.
-
-    Node signatures cover ``opcode``/``home_cluster``/``bank``/
-    ``immediate`` plus ``operands`` (as canonical positions, order
-    preserved); the edge list covers ``edge_kind`` and ``edge_latency``
-    per edge.  Names are deliberately excluded — they do not affect any
-    scheduler's output (the convergent scheduler's per-region seed
-    derives from the *region* name, which is keyed separately).
-
-    Args:
-        ddg: The graph to serialize.
-        permutation: Precomputed :func:`canonical_permutation`; computed
-            here when omitted.
-
-    Returns:
-        A JSON-safe dict with ``nodes`` (in canonical order) and the
-        sorted ``edges`` list in canonical coordinates.
-    """
-    perm = permutation if permutation is not None else canonical_permutation(ddg)
-    nodes = []
-    for uid in sorted(range(len(ddg)), key=lambda u: perm[u]):
-        signature = _node_signature(ddg, uid)
-        operands = [perm[op] for op in ddg.instruction(uid).operands]
-        nodes.append([signature, operands])
-    edges = sorted(
-        [perm[e.src], perm[e.dst], e.kind, e.latency] for e in ddg.edges()
-    )
-    return {"nodes": nodes, "edges": edges}
+    return _canonicalize(ddg)[0]
 
 
 def ddg_fingerprint(ddg: DataDependenceGraph) -> str:
-    """Digest of the canonical graph serialization alone."""
-    return _digest(canonical_ddg_payload(ddg))
+    """Digest of the canonical graph serialization alone.
+
+    The serialization is ``{"edges": ..., "nodes": ...}``: ``nodes``
+    lists ``[signature, operands]`` in canonical order (operands as
+    canonical positions, order preserved) and ``edges`` the sorted
+    ``[src, dst, kind, latency]`` rows in canonical coordinates.  Names
+    are deliberately excluded — they do not affect any scheduler's
+    output (the convergent scheduler's per-region seed derives from the
+    *region* name, which is keyed separately).
+    """
+    return _digest_text(_canonicalize(ddg)[1])
 
 
 # ----------------------------------------------------------------------
@@ -385,16 +491,16 @@ def schedule_key(
     Returns:
         The :class:`Fingerprint` (key + canonical permutation).
     """
-    permutation = canonical_permutation(region.ddg)
-    payload = {
-        "schema_version": FINGERPRINT_SCHEMA_VERSION,
-        "ddg": canonical_ddg_payload(region.ddg, permutation),
-        "machine": machine_payload(machine),
-        "scheduler": scheduler_payload(scheduler),
-        "region_name": region.name,
-        "check_values": bool(check_values),
-        "verify": bool(verify),
+    permutation, ddg_text = _canonicalize(region.ddg)
+    members = {
+        "schema_version": _encode(FINGERPRINT_SCHEMA_VERSION),
+        "ddg": ddg_text,
+        "machine": _encode(machine_payload(machine)),
+        "scheduler": _encode(scheduler_payload(scheduler)),
+        "region_name": _encode(region.name),
+        "check_values": _encode(bool(check_values)),
+        "verify": _encode(bool(verify)),
     }
     if deadline_s is not None:
-        payload["deadline_s"] = float(deadline_s)
-    return Fingerprint(key=_digest(payload), permutation=permutation)
+        members["deadline_s"] = _encode(float(deadline_s))
+    return Fingerprint(key=_digest_text(_object_text(members)), permutation=permutation)

@@ -1,0 +1,326 @@
+"""Schedule keys pinned byte for byte.
+
+A persisted :class:`~repro.engine.cache.ScheduleCache` is only reusable
+while every key it was written under comes out the same, so the key's
+text is part of the cache's on-disk format.  Two checks hold it still:
+
+* **golden keys** — the committed ``schedule_key(...).key`` and
+  ``ddg_fingerprint`` of every suite program on its machine.  Any change
+  to these values requires bumping ``FINGERPRINT_SCHEMA_VERSION``;
+* **the json.dumps oracle** — the straightforward implementation the
+  fingerprint module used to carry (one ``json.dumps(...,
+  sort_keys=True, default=str)`` per digested payload, the DDG section
+  built as a dict), kept here as the reference the fragment-spliced text
+  of :mod:`repro.engine.fingerprint` must reproduce exactly on random
+  graphs.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from typing import Any, Dict, List, Optional, Tuple
+
+from hypothesis import given, settings, strategies as st
+
+from repro import ConvergentScheduler
+from repro.engine import FINGERPRINT_SCHEMA_VERSION
+from repro.engine.fingerprint import (
+    canonical_permutation,
+    ddg_fingerprint,
+    machine_payload,
+    schedule_key,
+    scheduler_payload,
+)
+from repro.ir import DataDependenceGraph, Opcode
+from repro.ir.regions import Region
+from repro.machine import ClusteredVLIW, RawMachine, machine_from_spec
+from repro.schedulers import UnifiedAssignAndSchedule
+from repro.workloads import build_benchmark
+
+#: ``(machine, program, schedule_key(...).key, ddg_fingerprint)`` for the
+#: one region of each suite program under a default ConvergentScheduler.
+GOLDEN_KEYS = [
+    ("raw4x4", "cholesky",
+     "ec1aa98dbc6ad9067491faaf32d8ff033bf9b0482e58734521d9e91c1e76a398",
+     "ed6f3c398c53e050fd4a350896ebcfb2882d9687dd06895f89a7d0ffdeade5b9"),
+    ("raw4x4", "tomcatv",
+     "778f9a93e201dc3f868e5d48028a676b1a4ff48b591f3d2a1bef6a4f9423cb45",
+     "1a4da3a06cbe8033a344df2e09c43cb92219ed9dbbcf939b2f356457cbd34941"),
+    ("raw4x4", "vpenta",
+     "381209b253dbd0ffa7a9178802a2955296bbca920cf0704ba98742c28105770e",
+     "f7b423aa21647bb6539d810d8faec8ed8381f4ab1dfa848f9a870ad99da258f3"),
+    ("raw4x4", "mxm",
+     "67f5c4a3cc0aac87df515326131777d741d5cf830f3d9a8ca7fbb8ad439bffb5",
+     "4a82e41750714e13b01b29381c55c5251261f4dea631e93aa90c024f2c830d8d"),
+    ("raw4x4", "fpppp-kernel",
+     "c19b41949faa4ccdc06484888e321652c590ee7b8e9a98e57e13b6e965b284be",
+     "4fb5eec6aeaaea26927ddbbfba241d225f1ec0d2a96c3251e935fbdf3c482d61"),
+    ("raw4x4", "sha",
+     "e3d4fb2366e43640ec6fb78546409f1e75a1ce677d8a60b4e06ed2a077434eb5",
+     "dd234ba8a277ee5a06e944105e1b35273a46fe5c8d6ae53d3fc8dcee71dc3f42"),
+    ("raw4x4", "swim",
+     "88b8d3550fdb733824d2fff4bf9dc8da9e5c97ac79f10a77c46cf16f926ef86b",
+     "4b3aa4c8b5336f718e35ab1c4a7ed5aedad37ae7ea4da1dfd61f3f60b8f63749"),
+    ("raw4x4", "jacobi",
+     "1ad4b8085f284537efefcba277d8ab078bb599685137e01cd46b3faf17823f54",
+     "a5a93e3369d8fcffb6c51ee72f0c5ac4744fa9a539a0dc0e0c429577811f1d78"),
+    ("raw4x4", "life",
+     "9404edf576c7d3055de1f477976c8fb7a327ea440d15b562c0370679ef781843",
+     "6721262bd5c78cdf884ff8324f8c6ff60cd95092e39c1234b1fc85d092618e17"),
+    ("vliw4", "vvmul",
+     "7151f50bcb4032a05ac1208c4db6a7e77740144992d41ad05a2fd368abb8057a",
+     "d277311211ea5b3664503c799dfb3d763924baa20d63afeaf466c49557d6dcab"),
+    ("vliw4", "rbsorf",
+     "b65ad4184d2d294fc87d937f761afb038a0efc4d822d322ff0220ad178265f3b",
+     "5d9b5a2736aee96d93153f5546d9a3142874b6af51302c0e6c5c8c77551974a1"),
+    ("vliw4", "yuv",
+     "e1c1ff19e0394e3809ee1deacf9ad2302b34da9ab712d8842f6aa29fabf2b584",
+     "eea49a137acef1e3fa4105b7b9dd1b0d70b6f84d9d4455d670bd1c08384ec6c8"),
+    ("vliw4", "tomcatv",
+     "9bc5b8d8d266b93e986a87d2fea72e18b07d6da6e010334e3a7205048c1f2d36",
+     "00652bfd9225b686445f8eafd6ec2f8f814263cc7c60c77052878459cc0ebbdd"),
+    ("vliw4", "mxm",
+     "0844176cf100c919933266bf7357ca63c8adc5db5a3e9683eba5e7fd7cf23718",
+     "6b34c285606272966e128648c7a2911fbf1433477131c54ac716bb75cdaabd17"),
+    ("vliw4", "fir",
+     "2ecd18c29f645e00ac6b31548c7084ad52398799e7e7972f5f8f8f85c2f0d39d",
+     "965d0bb37add7e5245f5b834e966c3fff48e36669a8d0206d4632a393434686a"),
+    ("vliw4", "cholesky",
+     "87ee124b82bdc6b6c5fb515028b43d261999f114a0f1bbe5124eea21f8f33ccd",
+     "49679344262e24da14c19f458cae78e2be4294624482cea81add64983c0af63f"),
+]
+
+#: vliw4/mxm keyed with a compile deadline, ``verify=True`` and
+#: ``check_values=False``.
+GOLDEN_VARIANT_KEY = "064c2a8af73a38090f2be45c2ef4a4c794f1f5e4b9c6dc298684fbac08fd0e36"
+
+
+# ----------------------------------------------------------------------
+# The json.dumps oracle
+# ----------------------------------------------------------------------
+
+
+def oracle_digest(payload: Any) -> str:
+    """SHA-256 hex digest of one ``json.dumps`` of the payload."""
+    text = json.dumps(payload, sort_keys=True, default=str)
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def oracle_signature(ddg: DataDependenceGraph, uid: int) -> List[Any]:
+    """Label-independent attribute signature of one instruction."""
+    inst = ddg.instruction(uid)
+    return [inst.opcode.value, inst.home_cluster, inst.bank, inst.immediate]
+
+
+def oracle_permutation(ddg: DataDependenceGraph) -> Tuple[int, ...]:
+    """Canonical position of each uid, one ``json.dumps`` per hash."""
+    n = len(ddg)
+    topo = ddg.topological_order()
+    down: List[str] = [""] * n
+    for uid in topo:
+        preds = sorted(
+            (e.kind, e.latency, down[e.src]) for e in ddg.predecessors(uid)
+        )
+        operands = [down[op] for op in ddg.instruction(uid).operands]
+        down[uid] = oracle_digest(["d", oracle_signature(ddg, uid), preds, operands])
+    up: List[str] = [""] * n
+    for uid in reversed(topo):
+        succs = sorted(
+            (e.kind, e.latency, up[e.dst]) for e in ddg.successors(uid)
+        )
+        up[uid] = oracle_digest(["u", oracle_signature(ddg, uid), succs])
+    combined = [oracle_digest([down[uid], up[uid]]) for uid in range(n)]
+    order = sorted(range(n), key=lambda uid: (combined[uid], uid))
+    perm = [0] * n
+    for position, uid in enumerate(order):
+        perm[uid] = position
+    return tuple(perm)
+
+
+def oracle_ddg_payload(
+    ddg: DataDependenceGraph, perm: Tuple[int, ...]
+) -> Dict[str, Any]:
+    """The graph in canonical coordinates, as the dict that was digested."""
+    nodes = []
+    for uid in sorted(range(len(ddg)), key=lambda u: perm[u]):
+        operands = [perm[op] for op in ddg.instruction(uid).operands]
+        nodes.append([oracle_signature(ddg, uid), operands])
+    edges = sorted(
+        [perm[e.src], perm[e.dst], e.kind, e.latency] for e in ddg.edges()
+    )
+    return {"nodes": nodes, "edges": edges}
+
+
+def oracle_ddg_fingerprint(ddg: DataDependenceGraph) -> str:
+    """Digest of the canonical graph payload alone."""
+    return oracle_digest(oracle_ddg_payload(ddg, oracle_permutation(ddg)))
+
+
+def oracle_schedule_key(
+    region: Region,
+    machine,
+    scheduler,
+    check_values: bool = True,
+    verify: bool = False,
+    deadline_s: Optional[float] = None,
+) -> str:
+    """The composite request key as one ``json.dumps`` of the full payload."""
+    perm = oracle_permutation(region.ddg)
+    payload = {
+        "schema_version": FINGERPRINT_SCHEMA_VERSION,
+        "ddg": oracle_ddg_payload(region.ddg, perm),
+        "machine": machine_payload(machine),
+        "scheduler": scheduler_payload(scheduler),
+        "region_name": region.name,
+        "check_values": bool(check_values),
+        "verify": bool(verify),
+    }
+    if deadline_s is not None:
+        payload["deadline_s"] = float(deadline_s)
+    return oracle_digest(payload)
+
+
+# ----------------------------------------------------------------------
+# Golden keys
+# ----------------------------------------------------------------------
+
+
+def _suite_region(spec: str, name: str):
+    machine = machine_from_spec(spec)
+    program = build_benchmark(name, machine)
+    assert len(program.regions) == 1
+    return program.regions[0], machine
+
+
+class TestGoldenKeys:
+    def test_schema_version_is_one(self):
+        assert FINGERPRINT_SCHEMA_VERSION == 1
+
+    def test_suite_keys_unchanged(self):
+        for spec, name, key, ddg_key in GOLDEN_KEYS:
+            region, machine = _suite_region(spec, name)
+            assert schedule_key(region, machine, ConvergentScheduler()).key == key, (
+                f"{spec}/{name}"
+            )
+            assert ddg_fingerprint(region.ddg) == ddg_key, f"{spec}/{name}"
+
+    def test_budgeted_verified_variant_unchanged(self):
+        region, machine = _suite_region("vliw4", "mxm")
+        fp = schedule_key(
+            region, machine, ConvergentScheduler(),
+            check_values=False, verify=True, deadline_s=2.5,
+        )
+        assert fp.key == GOLDEN_VARIANT_KEY
+
+    def test_suite_matches_oracle(self):
+        """Permutations too, not just the digests built on them."""
+        for spec, name, _, _ in GOLDEN_KEYS:
+            region, machine = _suite_region(spec, name)
+            fp = schedule_key(region, machine, ConvergentScheduler())
+            assert fp.permutation == oracle_permutation(region.ddg), f"{spec}/{name}"
+
+
+# ----------------------------------------------------------------------
+# Random graphs against the oracle
+# ----------------------------------------------------------------------
+
+_OPCODES = [Opcode.ADD, Opcode.FADD, Opcode.FMUL, Opcode.LOAD, Opcode.STORE, Opcode.LI]
+
+#: Atoms that compare equal but serialize differently (1 / 1.0 / True,
+#: 0.0 / -0.0), plus NaN and infinities, so a memo keyed on equality
+#: alone would be caught splicing in the wrong text.
+_IMMEDIATES = st.one_of(
+    st.sampled_from([None, 1, 1.0, True, 0.0, -0.0, -3, -2.5, float("inf"), float("nan")]),
+    st.floats(),
+    st.integers(min_value=-(2**40), max_value=2**40),
+)
+
+#: Edge latencies, with the same equal-but-differently-serialized atoms.
+_LATENCIES = st.sampled_from([0, 1, 2, 5, 1.0, -0.0, True])
+
+_REGION_NAMES = st.one_of(
+    st.sampled_from(["r", "région·Ω", "区域/𝔟", 'q"uote\\']),
+    st.text(max_size=6),
+)
+
+
+@st.composite
+def random_regions(draw, max_nodes: int = 14):
+    """A random DAG exercising every field the DDG key reads."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    ddg = DataDependenceGraph()
+    for uid in range(n):
+        operands: List[int] = []
+        if uid:
+            operands = draw(
+                st.lists(st.integers(min_value=0, max_value=uid - 1), max_size=3)
+            )
+            if operands and draw(st.booleans()):
+                operands.append(operands[0])  # repeated operand
+        ddg.new_instruction(
+            draw(st.sampled_from(_OPCODES)),
+            operands,
+            home_cluster=draw(st.sampled_from([None, None, 0, 1, 3])),
+            bank=draw(st.sampled_from([None, None, 0, 2])),
+            immediate=draw(_IMMEDIATES),
+        )
+    if n > 1:
+        extra = draw(
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=0, max_value=n - 2),
+                    st.integers(min_value=1, max_value=n - 1),
+                    st.sampled_from(["data", "mem", "order"]),
+                    _LATENCIES,
+                ),
+                max_size=2 * n,
+            )
+        )
+        for src, dst, kind, latency in extra:
+            if src < dst:
+                ddg.add_dependence(src, dst, latency=latency, kind=kind)
+    return Region(draw(_REGION_NAMES), ddg)
+
+
+class TestAgainstOracle:
+    @given(random_regions())
+    @settings(max_examples=150, deadline=None)
+    def test_ddg_fingerprint_and_permutation(self, region):
+        assert canonical_permutation(region.ddg) == oracle_permutation(region.ddg)
+        assert ddg_fingerprint(region.ddg) == oracle_ddg_fingerprint(region.ddg)
+
+    @given(
+        random_regions(),
+        st.sampled_from(["vliw2", "raw2x2"]),
+        st.booleans(),
+        st.booleans(),
+        st.one_of(st.none(), st.floats(min_value=0.001, max_value=60.0), st.just(3)),
+        st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_schedule_key(self, region, spec, check_values, verify, deadline_s, convergent):
+        machine = ClusteredVLIW(2) if spec == "vliw2" else RawMachine(2, 2)
+        scheduler = ConvergentScheduler() if convergent else UnifiedAssignAndSchedule()
+        fp = schedule_key(
+            region, machine, scheduler,
+            check_values=check_values, verify=verify, deadline_s=deadline_s,
+        )
+        assert fp.key == oracle_schedule_key(
+            region, machine, scheduler,
+            check_values=check_values, verify=verify, deadline_s=deadline_s,
+        )
+        assert fp.permutation == oracle_permutation(region.ddg)
+
+    @given(random_regions(max_nodes=8))
+    @settings(max_examples=30, deadline=None)
+    def test_no_state_carried_between_calls(self, region):
+        """Mutating the machine or graph between calls changes nothing stale."""
+        machine = ClusteredVLIW(2)
+        scheduler = UnifiedAssignAndSchedule()
+        before = schedule_key(region, machine, scheduler).key
+        machine.latency_model.latencies[Opcode.FADD] += 1
+        region.ddg.new_instruction(Opcode.FADD, [0])
+        after = schedule_key(region, machine, scheduler).key
+        assert after != before
+        assert after == oracle_schedule_key(region, machine, scheduler)
