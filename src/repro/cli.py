@@ -76,7 +76,7 @@ from .harness import (
     save_result,
     vliw_speedups,
 )
-from .machine import ClusteredVLIW, Machine, RawMachine, machine_from_spec, raw_with_tiles
+from .machine import ClusteredVLIW, Machine, machine_from_spec, raw_with_tiles
 from .observability import (
     BenchSnapshot,
     FlightLedger,
@@ -103,6 +103,7 @@ from .observability import (
 from .sim import simulate
 from .verify import make_scheduler, scheduler_registry
 from .workloads import KERNELS, RAW_SUITE, VLIW_SUITE, build_benchmark, suite_for_machine
+from .workloads.suite import MACHINES, QUICK_SUITE
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
     from .engine import CompilationEngine
@@ -307,15 +308,10 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     exit_code = 0
     payload: dict = {}
 
+    machines = [parse_machine(s) for s in _split(args.machines) or MACHINES]
+    benchmarks = _split(args.benchmarks) or (list(QUICK_SUITE) if args.quick else None)
+
     if not args.skip_sweep:
-        machines = (
-            [parse_machine(s) for s in _split(args.machines)]
-            if args.machines
-            else None
-        )
-        benchmarks = _split(args.benchmarks)
-        if benchmarks is None and args.quick:
-            benchmarks = ["vvmul", "fir"]
         with _engine_from_flags(args) as engine:
             report = run_sweep(
                 machines=machines,
@@ -355,19 +351,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if args.differential:
         from .faults import run_differential_campaign
 
-        machines = (
-            [parse_machine(s) for s in _split(args.machines)]
-            if args.machines
-            else [ClusteredVLIW(4), RawMachine(4, 4)]
-        )
         payload["differential"] = []
         for machine in machines:
-            suite = _split(args.benchmarks)
-            if suite is None:
-                suite = ["vvmul", "mxm"] if args.quick else list(suite_for_machine(machine))
             regions = [
                 region
-                for name in suite
+                for name in benchmarks or suite_for_machine(machine)
                 for region in build_benchmark(name, machine).regions
             ]
             diff = run_differential_campaign(
@@ -1007,7 +995,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--seed", type=int, default=0)
     verify.add_argument(
         "--quick", action="store_true",
-        help="small benchmark subset for pre-commit / CI gating",
+        help="the quick tier shared with bench --quick, for pre-commit / CI gating",
     )
     verify.add_argument(
         "--skip-sweep", action="store_true",
@@ -1182,16 +1170,16 @@ def build_parser() -> argparse.ArgumentParser:
         "--seed", type=int, default=0, help="request-mix seed"
     )
     loadtest.add_argument(
-        "--machines", nargs="+", default=["raw4x4", "vliw4"],
+        "--machines", nargs="+", default=list(MACHINES),
         help="machine specs in the mix",
     )
     loadtest.add_argument(
         "--schedulers", nargs="+",
-        help="schedulers in the mix (default: per-machine-family pair)",
+        help="schedulers in the mix (default: each machine's paper line-up)",
     )
     loadtest.add_argument(
         "--benchmarks", nargs="+",
-        help="benchmarks in the mix (default: a small cross-suite set)",
+        help="benchmarks in the mix (default: the quick tier)",
     )
     loadtest.add_argument(
         "--no-warm", action="store_true",

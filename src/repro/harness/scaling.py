@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from ..core.convergent import ConvergentScheduler
 from ..machine.vliw import ClusteredVLIW
 from ..schedulers.base import Scheduler
-from ..schedulers.pcc import PartialComponentClustering
-from ..schedulers.uas import UnifiedAssignAndSchedule
+from ..verify import make_scheduler
 from ..workloads.congruence import apply_congruence
+from ..workloads.suite import schedulers_for_machine
 from ..workloads.synthetic import layered_graph
 
 
@@ -76,13 +75,11 @@ def compile_time_scaling(
         A :class:`ScalingResult` mapping scheduler name to
         seconds-per-size.
     """
+    machine = ClusteredVLIW(n_clusters)
     if schedulers is None:
         schedulers = {
-            "pcc": PartialComponentClustering(),
-            "uas": UnifiedAssignAndSchedule(),
-            "convergent": ConvergentScheduler(),
+            name: make_scheduler(name) for name in schedulers_for_machine(machine)
         }
-    machine = ClusteredVLIW(n_clusters)
     result = ScalingResult(sizes=tuple(sizes))
     for name in schedulers:
         result.seconds[name] = {}

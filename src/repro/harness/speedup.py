@@ -9,17 +9,21 @@ the same family (congruence then maps every bank to that cluster).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
-from ..core.convergent import ConvergentScheduler
+from ..machine.machine import Machine
 from ..machine.raw import raw_with_tiles
 from ..machine.vliw import ClusteredVLIW
 from ..schedulers.base import Scheduler
-from ..schedulers.pcc import PartialComponentClustering
-from ..schedulers.rawcc import RawccScheduler
-from ..schedulers.single import SingleClusterScheduler
-from ..schedulers.uas import UnifiedAssignAndSchedule
-from ..workloads.suite import RAW_SUITE, VLIW_SUITE, build_benchmark
+from ..verify import make_scheduler
+from ..workloads.suite import (
+    BASELINE_SCHEDULER,
+    RAW_SUITE,
+    VLIW_SUITE,
+    baseline_machine,
+    build_benchmark,
+    schedulers_for_machine,
+)
 from .experiment import run_program
 from .reporting import arithmetic_mean, format_table
 
@@ -89,6 +93,46 @@ class SpeedupTable:
         return format_table(headers, rows, title=title)
 
 
+def _speedup_table(
+    benchmarks: Sequence[str],
+    machines: Sequence[Machine],
+    schedulers: Optional[Mapping[str, Scheduler]],
+    check_values: bool,
+) -> SpeedupTable:
+    """Speedups on machines of one family, indexed by cluster count.
+
+    The denominator is the baseline scheduler on the family's baseline
+    machine; ``schedulers=None`` runs the family's paper line-up (both
+    from :mod:`repro.workloads.suite`).
+    """
+    if schedulers is None:
+        schedulers = {
+            name: make_scheduler(name) for name in schedulers_for_machine(machines[0])
+        }
+    table = SpeedupTable(sizes=tuple(m.n_clusters for m in machines))
+    one = baseline_machine(machines[0])
+    single = make_scheduler(BASELINE_SCHEDULER)
+    for name in benchmarks:
+        base = run_program(
+            build_benchmark(name, one), one, single, check_values=check_values
+        )
+        table.baseline_cycles[name] = base.cycles
+        table.speedups[name] = {}
+        for sched_name, scheduler in schedulers.items():
+            table.speedups[name][sched_name] = {}
+            for machine in machines:
+                result = run_program(
+                    build_benchmark(name, machine),
+                    machine,
+                    scheduler,
+                    check_values=check_values,
+                )
+                table.speedups[name][sched_name][machine.n_clusters] = (
+                    base.cycles / result.cycles if result.cycles else float("inf")
+                )
+    return table
+
+
 def raw_speedups(
     benchmarks: Sequence[str] = RAW_SUITE,
     sizes: Sequence[int] = (2, 4, 8, 16),
@@ -104,39 +148,16 @@ def raw_speedups(
     Args:
         benchmarks: Benchmark names from the Raw suite.
         sizes: Mesh sizes (tile counts) to sweep.
-        schedulers: ``{name: scheduler}``; ``None`` selects rawcc and
-            convergent.
+        schedulers: ``{name: scheduler}``; ``None`` selects the Raw
+            line-up (rawcc, convergent).
         check_values: Verify simulated register values against the
             reference interpreter.
 
     Returns:
         The populated :class:`SpeedupTable`.
     """
-    if schedulers is None:
-        schedulers = {"rawcc": RawccScheduler(), "convergent": ConvergentScheduler()}
-    table = SpeedupTable(sizes=tuple(sizes))
-    single = SingleClusterScheduler()
-    for name in benchmarks:
-        one_tile = raw_with_tiles(1)
-        base = run_program(
-            build_benchmark(name, one_tile), one_tile, single, check_values=check_values
-        )
-        table.baseline_cycles[name] = base.cycles
-        table.speedups[name] = {}
-        for sched_name, scheduler in schedulers.items():
-            table.speedups[name][sched_name] = {}
-            for n_tiles in sizes:
-                machine = raw_with_tiles(n_tiles)
-                result = run_program(
-                    build_benchmark(name, machine),
-                    machine,
-                    scheduler,
-                    check_values=check_values,
-                )
-                table.speedups[name][sched_name][n_tiles] = (
-                    base.cycles / result.cycles if result.cycles else float("inf")
-                )
-    return table
+    machines = [raw_with_tiles(n) for n in sizes]
+    return _speedup_table(benchmarks, machines, schedulers, check_values)
 
 
 def vliw_speedups(
@@ -160,30 +181,5 @@ def vliw_speedups(
     Returns:
         The populated :class:`SpeedupTable`.
     """
-    if schedulers is None:
-        schedulers = {
-            "pcc": PartialComponentClustering(),
-            "uas": UnifiedAssignAndSchedule(),
-            "convergent": ConvergentScheduler(),
-        }
-    table = SpeedupTable(sizes=(n_clusters,))
-    single = SingleClusterScheduler()
-    for name in benchmarks:
-        one = ClusteredVLIW(1)
-        base = run_program(
-            build_benchmark(name, one), one, single, check_values=check_values
-        )
-        table.baseline_cycles[name] = base.cycles
-        machine = ClusteredVLIW(n_clusters)
-        table.speedups[name] = {}
-        for sched_name, scheduler in schedulers.items():
-            result = run_program(
-                build_benchmark(name, machine),
-                machine,
-                scheduler,
-                check_values=check_values,
-            )
-            table.speedups[name][sched_name] = {
-                n_clusters: base.cycles / result.cycles if result.cycles else float("inf")
-            }
-    return table
+    machine = ClusteredVLIW(n_clusters)
+    return _speedup_table(benchmarks, [machine], schedulers, check_values)

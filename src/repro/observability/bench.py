@@ -41,8 +41,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, TYPE_CHECKING, Union
 
-from ..machine import ClusteredVLIW, Machine, raw_with_tiles
-from ..workloads import build_benchmark, suite_for_machine
+from ..machine import Machine, machine_from_spec
+from ..workloads import build_benchmark, suite
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..engine.pool import CompilationEngine
@@ -58,45 +58,9 @@ SNAPSHOT_KIND = "bench_snapshot"
 #: Filename pattern of committed snapshots at the repository root.
 SNAPSHOT_PATTERN = re.compile(r"BENCH_(\d+)\.json$")
 
-#: The ``--quick`` tier: three benchmarks present in *both* suites, so
-#: a quick run always intersects a committed full snapshot.
-QUICK_BENCHMARKS: Tuple[str, ...] = ("cholesky", "mxm", "tomcatv")
-
-#: Scheduler line-up per machine family (the paper's comparisons).
-RAW_SCHEDULERS: Tuple[str, ...] = ("convergent", "rawcc", "single")
-VLIW_SCHEDULERS: Tuple[str, ...] = ("convergent", "uas", "pcc", "single")
-
-#: Speedups are computed against this scheduler's cycles.
-BASELINE_SCHEDULER = "single"
-
 #: Timing repeats per cell: full tier vs. ``--quick``.
 DEFAULT_REPEATS = 3
 QUICK_REPEATS = 1
-
-
-def default_machines() -> List[Machine]:
-    """The two machine models every default snapshot covers."""
-    return [raw_with_tiles(16), ClusteredVLIW(4)]
-
-
-def baseline_machine(machine: Machine) -> Machine:
-    """The 1-cluster sibling used as the speedup denominator.
-
-    Matches the harness's speedup definition: the ``single`` cell of a
-    snapshot is measured on a single-tile/single-cluster machine of the
-    same family (congruence then maps every bank onto it), exactly like
-    the paper's denominators — a single-cluster scheduler on a clustered
-    machine would be infeasible whenever preplacement pins banks to
-    other clusters.
-    """
-    if machine.name.startswith("raw"):
-        return raw_with_tiles(1)
-    return ClusteredVLIW(1)
-
-
-def schedulers_for_machine(machine: Machine) -> Tuple[str, ...]:
-    """The benched scheduler names for a machine family."""
-    return RAW_SCHEDULERS if machine.name.startswith("raw") else VLIW_SCHEDULERS
 
 
 @dataclass
@@ -392,15 +356,16 @@ def run_bench(
     """Run the benchmark matrix and assemble a :class:`BenchSnapshot`.
 
     Args:
-        machines: Machine models to bench; default Raw 4x4 mesh plus
-            the 4-cluster VLIW (:func:`default_machines`).
+        machines: Machine models to bench; default
+            :data:`~repro.workloads.suite.MACHINES`.
         benchmarks: Benchmark names applied to every machine; default
             each machine's published suite (``--quick``:
-            :data:`QUICK_BENCHMARKS`).
+            :data:`~repro.workloads.suite.QUICK_SUITE`).
         schedulers: Scheduler names applied to every machine; default
-            the family line-up (:func:`schedulers_for_machine`).  The
-            :data:`BASELINE_SCHEDULER` is always added so speedups can
-            be computed.
+            the family line-up
+            (:func:`~repro.workloads.suite.schedulers_for_machine`).
+            The :data:`~repro.workloads.suite.BASELINE_SCHEDULER` is
+            always added so speedups can be computed.
         repeats: Timing repeats per cell; default
             :data:`DEFAULT_REPEATS` (:data:`QUICK_REPEATS` for quick).
         seed: Seed handed to the convergent scheduler.
@@ -433,28 +398,28 @@ def run_bench(
     started = time.perf_counter()
     # An inline engine carries no ledger.
     ledger = engine.ledger if engine is not None else None
-    machines = list(machines) if machines else default_machines()
+    machines = list(machines) if machines else [machine_from_spec(s) for s in suite.MACHINES]
     if repeats is None:
         repeats = QUICK_REPEATS if quick else DEFAULT_REPEATS
     bench_plan: Dict[str, Dict[str, List[str]]] = {}
     specs: List[_CellSpec] = []
     for machine in machines:
         names = list(benchmarks) if benchmarks else (
-            list(QUICK_BENCHMARKS) if quick else list(suite_for_machine(machine))
+            list(suite.QUICK_SUITE) if quick else list(suite.suite_for_machine(machine))
         )
         sched_names = list(schedulers) if schedulers else list(
-            schedulers_for_machine(machine)
+            suite.schedulers_for_machine(machine)
         )
-        if BASELINE_SCHEDULER not in sched_names:
-            sched_names.append(BASELINE_SCHEDULER)
+        if suite.BASELINE_SCHEDULER not in sched_names:
+            sched_names.append(suite.BASELINE_SCHEDULER)
         bench_plan[machine.name] = {"benchmarks": names, "schedulers": sched_names}
-        baseline = baseline_machine(machine)
+        baseline = suite.baseline_machine(machine)
         for name in names:
             for sched_name in sched_names:
                 # The single-cluster baseline runs on the 1-cluster
                 # sibling, the paper's speedup denominator; the cell is
                 # still keyed by the target machine so snapshots align.
-                target = baseline if sched_name == BASELINE_SCHEDULER else machine
+                target = baseline if sched_name == suite.BASELINE_SCHEDULER else machine
                 specs.append(
                     _CellSpec(
                         benchmark=name,
@@ -482,7 +447,7 @@ def run_bench(
     baseline_cycles: Dict[Tuple[str, str], int] = {}
     for spec, outcome in zip(specs, outcomes):
         cells.append(outcome["cell"])
-        if spec.scheduler == BASELINE_SCHEDULER:
+        if spec.scheduler == suite.BASELINE_SCHEDULER:
             baseline_cycles[(spec.machine.name, spec.benchmark)] = outcome["cycles"]
         if ledger is not None and outcome.get("flight"):
             from .flight import FlightRecord

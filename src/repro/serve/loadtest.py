@@ -34,27 +34,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+from ..machine import machine_from_spec
 from ..observability.metrics import QuantileHistogram
+from ..workloads.suite import (
+    BASELINE_SCHEDULER,
+    MACHINES,
+    QUICK_SUITE,
+    build_benchmark,
+    schedulers_for_machine,
+    suite_for_machine,
+)
 from .wire import compile_request
-
-#: Default per-machine request mix: small, fast cells that still cover
-#: both suites; overridden via :attr:`LoadtestConfig.benchmarks`.
-DEFAULT_BENCHMARKS = ("vvmul", "fir", "mxm", "jacobi", "sha")
-
-#: Default machine specs exercised by the mix.
-DEFAULT_MACHINES = ("raw4x4", "vliw4")
-
-#: Default schedulers per machine family — the ``single`` baseline is
-#: deliberately absent (it refuses multi-cluster machines; the bench
-#: snapshot runs it on a 1-cluster sibling).
-DEFAULT_RAW_SCHEDULERS = ("convergent", "rawcc")
-DEFAULT_VLIW_SCHEDULERS = ("convergent", "uas")
-
-#: The bench snapshot measures this scheduler on a 1-cluster sibling
-#: machine (it is the speedup denominator), so its served cycles are
-#: not comparable and snapshot cross-checks skip it.
-SNAPSHOT_SKIP_SCHEDULERS = ("single",)
-
 
 class HttpClient:
     """A persistent keep-alive connection to the compile server.
@@ -211,11 +201,12 @@ class LoadtestConfig:
         rate: Open-loop arrival rate, requests/second.
         seed: Seed for the request mix (reproducible runs).
         machines: Machine specs in the mix.
-        schedulers: Scheduler names in the mix; ``None`` picks the
-            per-family defaults (:data:`DEFAULT_RAW_SCHEDULERS` /
-            :data:`DEFAULT_VLIW_SCHEDULERS`).
+        schedulers: Scheduler names in the mix; ``None`` picks each
+            machine's paper line-up
+            (:func:`~repro.workloads.suite.schedulers_for_machine`).
         benchmarks: Benchmark names in the mix (filtered per machine
-            to its suite); ``None`` uses :data:`DEFAULT_BENCHMARKS`.
+            to its suite); ``None`` uses the quick tier
+            (:data:`~repro.workloads.suite.QUICK_SUITE`).
         warm: Issue each unique request once, unmeasured, before the
             run — the measured phase then exercises the warm cache.
         timeout_s: Per-request client timeout.
@@ -228,7 +219,7 @@ class LoadtestConfig:
     mode: str = "closed"
     rate: float = 200.0
     seed: int = 0
-    machines: Sequence[str] = DEFAULT_MACHINES
+    machines: Sequence[str] = MACHINES
     schedulers: Optional[Sequence[str]] = None
     benchmarks: Optional[Sequence[str]] = None
     warm: bool = True
@@ -414,9 +405,9 @@ class LoadReport:
 
         Every cell this run served that the snapshot also measured must
         report identical cycles — the byte-identical-quality guarantee,
-        checked end to end through the wire.  Cells for schedulers in
-        :data:`SNAPSHOT_SKIP_SCHEDULERS` are skipped (the snapshot
-        measures them on a different target machine).
+        checked end to end through the wire.  Cells of the
+        :data:`~repro.workloads.suite.BASELINE_SCHEDULER` are skipped
+        (the snapshot measures it on a different target machine).
 
         Args:
             snapshot_path: The committed snapshot to compare against.
@@ -433,7 +424,7 @@ class LoadReport:
         }
         mismatches = []
         for cell, cycles in sorted(self.quality.items()):
-            if cell.rsplit("/", 1)[1] in SNAPSHOT_SKIP_SCHEDULERS:
+            if cell.rsplit("/", 1)[1] == BASELINE_SCHEDULER:
                 continue
             expected = baseline.get(cell)
             if expected is not None and expected != cycles:
@@ -457,18 +448,12 @@ def build_corpus(config: LoadtestConfig) -> List[Tuple[str, bytes]]:
     Returns:
         The corpus, in deterministic order.
     """
-    from ..machine import machine_from_spec
-    from ..workloads import build_benchmark, suite_for_machine
-
-    wanted = tuple(config.benchmarks or DEFAULT_BENCHMARKS)
+    wanted = tuple(config.benchmarks or QUICK_SUITE)
     corpus = []
     for spec in config.machines:
         machine = machine_from_spec(spec)
-        is_vliw = spec.startswith("vliw")
         suite = suite_for_machine(machine)
-        schedulers = config.schedulers or (
-            DEFAULT_VLIW_SCHEDULERS if is_vliw else DEFAULT_RAW_SCHEDULERS
-        )
+        schedulers = config.schedulers or schedulers_for_machine(machine)
         names = [name for name in wanted if name in suite]
         for name in names:
             program = build_benchmark(name, machine)

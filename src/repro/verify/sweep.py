@@ -203,7 +203,8 @@ def run_sweep(
     """Schedule and statically verify a grid of workloads.
 
     Args:
-        machines: Machines to sweep; default ``vliw4`` and ``raw4x4``.
+        machines: Machines to sweep; default
+            :data:`~repro.workloads.suite.MACHINES`.
         benchmarks: Benchmark names; default each machine's suite.
         schedulers: Scheduler registry names; default all registered.
         warnings_as_errors: Also fail cells on WARNING diagnostics.
@@ -220,11 +221,11 @@ def run_sweep(
         The :class:`SweepReport`; the sweep is clean iff ``report.ok``.
     """
     from ..engine.pool import engine_or_inline
-    from ..machine import ClusteredVLIW, RawMachine
-    from ..workloads import build_benchmark, suite_for_machine
+    from ..machine import machine_from_spec
+    from ..workloads.suite import MACHINES, build_benchmark, suite_for_machine
 
     if machines is None:
-        machines = [ClusteredVLIW(4), RawMachine(4, 4)]
+        machines = [machine_from_spec(spec) for spec in MACHINES]
     registry = scheduler_registry()
     names = list(schedulers) if schedulers is not None else sorted(registry)
     specs: List[_SweepSpec] = []

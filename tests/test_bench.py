@@ -19,7 +19,6 @@ from repro.observability.bench import (
     BenchCell,
     BenchSnapshot,
     SCHEMA_VERSION,
-    baseline_machine,
     environment_fingerprint,
     latest_snapshot_path,
     next_snapshot_path,
@@ -41,6 +40,7 @@ from repro.observability.render import render_profile
 from repro.observability.tracer import KIND_SPAN, TraceRecord, Tracer
 from repro.schedulers import UnifiedAssignAndSchedule
 from repro.workloads import build_benchmark
+from repro.workloads.suite import baseline_machine
 
 
 def small_bench(**overrides):

@@ -25,7 +25,7 @@ from repro.harness import run_program
 from repro.harness.results import program_result_to_dict
 from repro.machine import ClusteredVLIW, RawMachine
 from repro.verify.sweep import scheduler_registry
-from repro.workloads import RAW_SUITE, VLIW_SUITE, build_benchmark
+from repro.workloads import build_benchmark, suite_for_machine
 
 MACHINES = {
     "raw4x4": RawMachine(4, 4),
@@ -36,7 +36,7 @@ SCHEDULERS = sorted(scheduler_registry())
 
 def suite_for(machine_key):
     """The paper suite evaluated on the given machine."""
-    return RAW_SUITE if machine_key.startswith("raw") else VLIW_SUITE
+    return suite_for_machine(MACHINES[machine_key])
 
 
 def make_scheduler(name):
@@ -454,6 +454,34 @@ class TestResilienceEquivalence:
                 check_values=False, engine=engine,
             )
         assert scrubbed(parallel) == scrubbed(serial)
+
+
+class TestTraceShipping:
+    """Worker tracers ship their records home: ``RegionTask.trace`` asks
+    for a private tracer, ``TaskOutcome.trace_records`` carries its
+    dump back, and ``Tracer.absorb`` folds it into the ambient one."""
+
+    def test_pooled_trace_matches_inline(self, engine2):
+        from repro.observability.tracer import Tracer, tracing
+
+        machine = MACHINES["vliw4"]
+        program = build_benchmark("mxm", machine)
+        runs = []
+        for engine in (None, engine2):
+            tracer = Tracer()
+            with tracing(tracer):
+                result = run_program(
+                    program, machine, make_scheduler("convergent"),
+                    check_values=False, engine=engine,
+                )
+            runs.append((result.cycles, tracer.spans()))
+        (inline_cycles, inline_spans), (pooled_cycles, pooled_spans) = runs
+        assert pooled_cycles == inline_cycles
+        assert inline_spans
+        assert [s.name for s in pooled_spans] == [s.name for s in inline_spans]
+        # Absorbed records are stamped with the worker that produced them.
+        assert any("worker" in s.fields for s in pooled_spans)
+        assert not any("worker" in s.fields for s in inline_spans)
 
 
 class TestMapFanOutEquivalence:
