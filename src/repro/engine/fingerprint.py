@@ -30,7 +30,7 @@ only cause a spurious cache miss, never a wrong hit.
 Every digest is SHA-256 over exactly the text ``json.dumps(payload,
 sort_keys=True, default=str)`` produces for its payload, but the text
 is spliced together from pre-encoded fragments rather than dumped per
-payload (see :func:`_canonicalize`).  ``tests/test_fingerprint_golden.py``
+payload (see :func:`canonical_form`).  ``tests/test_fingerprint_golden.py``
 pins the keys of the suite programs and checks the spliced text against
 a plain ``json.dumps`` oracle; a change to either requires bumping
 :data:`FINGERPRINT_SCHEMA_VERSION`.
@@ -46,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import attrgetter
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -53,6 +54,7 @@ from ..ir.ddg import DataDependenceGraph
 from ..ir.instruction import DependenceEdge
 from ..ir.opcode import Opcode
 from ..ir.regions import Region
+from ..machine import machine_from_spec
 from ..machine.machine import Machine
 from ..schedulers.base import Scheduler
 
@@ -230,8 +232,12 @@ def _edge_entries(
     )
 
 
-def _canonicalize(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
+def canonical_form(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
     """The canonical permutation and the canonical DDG section's JSON text.
+
+    This is what :func:`schedule_key` derives from the graph; a caller
+    that keys the same unchanged graph many times can compute it once
+    and hand it over as ``schedule_key(..., canonical=...)``.
 
     Every instruction gets a downward hash over ``["d", signature,
     sorted in-edges, operands]`` (in-edges carry the producers'
@@ -244,7 +250,9 @@ def _canonicalize(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
     Everything is memoized within this one call only: graphs are
     mutable, so a memo that outlived the call could serve the text of a
     graph that has since changed — a wrong cache hit.  (The machine and
-    scheduler payloads are rebuilt on every call for the same reason.)
+    scheduler payloads are rebuilt on every call for the same reason,
+    unless the caller hands over text memoized on immutable inputs, such
+    as :func:`machine_spec_text`.)
     """
     n = len(ddg)
     instructions = ddg.instructions
@@ -297,7 +305,7 @@ def canonical_permutation(ddg: DataDependenceGraph) -> Tuple[int, ...]:
     Returns:
         ``perm`` with ``perm[uid]`` the canonical position of ``uid``.
     """
-    return _canonicalize(ddg)[0]
+    return canonical_form(ddg)[0]
 
 
 def ddg_fingerprint(ddg: DataDependenceGraph) -> str:
@@ -311,7 +319,7 @@ def ddg_fingerprint(ddg: DataDependenceGraph) -> str:
     output (the convergent scheduler's per-region seed derives from the
     *region* name, which is keyed separately).
     """
-    return _digest_text(_canonicalize(ddg)[1])
+    return _digest_text(canonical_form(ddg)[1])
 
 
 # ----------------------------------------------------------------------
@@ -367,6 +375,27 @@ def machine_payload(machine: Machine) -> Dict[str, Any]:
         "memory_affinity": machine.memory_affinity,
         "remote_mem_penalty": machine.remote_mem_penalty,
     }
+
+
+@lru_cache(maxsize=64)
+def machine_spec_text(spec: str) -> str:
+    """The encoded :func:`machine_payload` of the machine ``spec`` names.
+
+    Memoized by spec string: :func:`~repro.machine.machine_from_spec`
+    builds a fresh machine from constants alone, so the payload is a
+    pure function of the spec.  Never memoize it on a machine instance
+    instead — machines are mutable (see :func:`canonical_form`).
+
+    Args:
+        spec: A machine spec string (``vliw4``, ``raw4x4``, ...).
+
+    Returns:
+        The payload's JSON text, as :func:`schedule_key` embeds it.
+
+    Raises:
+        ValueError: When the spec names no machine.
+    """
+    return _encode(machine_payload(machine_from_spec(spec)))
 
 
 def machine_fingerprint(machine: Machine) -> str:
@@ -467,6 +496,9 @@ def schedule_key(
     check_values: bool = True,
     verify: bool = False,
     deadline_s: Optional[float] = None,
+    *,
+    canonical: Optional[Tuple[Tuple[int, ...], str]] = None,
+    machine_text: Optional[str] = None,
 ) -> Fingerprint:
     """Fingerprint one scheduling request end to end.
 
@@ -487,15 +519,24 @@ def schedule_key(
         verify: Whether the harness will run the static verifier.
         deadline_s: The task's compile budget; ``None`` (no deadline)
             keeps the key identical to the pre-resilience schema.
+        canonical: ``canonical_form(region.ddg)`` computed earlier for
+            this graph, unchanged since; ``None`` computes it now.
+        machine_text: The encoded ``machine_payload(machine)``, e.g.
+            :func:`machine_spec_text` of the spec ``machine`` was built
+            from; ``None`` encodes it now.
 
     Returns:
         The :class:`Fingerprint` (key + canonical permutation).
     """
-    permutation, ddg_text = _canonicalize(region.ddg)
+    if canonical is None:
+        canonical = canonical_form(region.ddg)
+    if machine_text is None:
+        machine_text = _encode(machine_payload(machine))
+    permutation, ddg_text = canonical
     members = {
         "schema_version": _encode(FINGERPRINT_SCHEMA_VERSION),
         "ddg": ddg_text,
-        "machine": _encode(machine_payload(machine)),
+        "machine": machine_text,
         "scheduler": _encode(scheduler_payload(scheduler)),
         "region_name": _encode(region.name),
         "check_values": _encode(bool(check_values)),

@@ -110,6 +110,8 @@ SERVE_COUNTERS = (
     "serve.batches",
     "serve.parse_hits",
     "serve.parse_misses",
+    "serve.region_hits",
+    "serve.region_misses",
     "serve.shed.client",
     "serve.shed.queue",
     "serve.slow_clients",
@@ -157,6 +159,8 @@ def _telemetry_names() -> Dict[str, str]:
         "serve.batches": "engine waves dispatched by the batcher",
         "serve.parse_hits": "request bodies answered from the parse cache",
         "serve.parse_misses": "request bodies parsed and fingerprinted from scratch",
+        "serve.region_hits": "regions of new bodies resolved from the region memo",
+        "serve.region_misses": "regions of new bodies parsed and canonicalized afresh",
         "serve.shed.client": "requests shed with 429 by the per-client limit",
         "serve.shed.queue": "requests shed with 429 by the cold-queue bound",
         "serve.slow_clients": "connections dropped for dawdling past the read timeout",

@@ -67,8 +67,13 @@ from .wire import (
 #: Entries kept in the body-hash parse cache (see ``_parsed_for``).
 PARSE_CACHE_CAPACITY = 512
 
-#: Entries kept in the fingerprint-keyed response cache.  Both caches
-#: are content-addressed, so they never need invalidation.
+#: Entries kept in the region memo: region-document hash → validated
+#: region and canonical DDG form (see :func:`~repro.serve.wire.
+#: parse_request`).
+REGION_MEMO_CAPACITY = 1024
+
+#: Entries kept in the fingerprint-keyed response cache.  All three
+#: caches are content-addressed, so they never need invalidation.
 RESPONSE_CACHE_CAPACITY = 1024
 
 #: HTTP status reason phrases the server emits.
@@ -134,6 +139,46 @@ class ServeConfig:
     max_body_bytes: int = 8 * 1024 * 1024
 
 
+class BoundedLRU:
+    """A bounded, thread-safe least-recently-used map.
+
+    The server's three content-addressed caches are instances: ``get``
+    refreshes an entry, assignment inserts one and evicts the least
+    recently used beyond ``capacity``.  Values are never ``None``.
+    """
+
+    def __init__(self, capacity: int) -> None:
+        """An empty map holding at most ``capacity`` entries."""
+        self.capacity = capacity
+        self._items: "OrderedDict[Any, Any]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    def get(self, key: Any) -> Any:
+        """The value under ``key`` (now most recent), or ``None``."""
+        with self._lock:
+            value = self._items.get(key)
+            if value is not None:
+                self._items.move_to_end(key)
+            return value
+
+    def __setitem__(self, key: Any, value: Any) -> None:
+        """Insert ``value`` as most recent, evicting past the capacity."""
+        with self._lock:
+            self._items[key] = value
+            self._items.move_to_end(key)
+            while len(self._items) > self.capacity:
+                self._items.popitem(last=False)
+
+    def __len__(self) -> int:
+        """The number of entries held."""
+        return len(self._items)
+
+    def clear(self) -> None:
+        """Drop every entry."""
+        with self._lock:
+            self._items.clear()
+
+
 class CompileServer:
     """The asyncio compile service (see the module docstring).
 
@@ -182,9 +227,9 @@ class CompileServer:
         )
         self._queue: asyncio.Queue = asyncio.Queue()
         self._inflight: Dict[str, asyncio.Future] = {}
-        self._parse_cache: "OrderedDict[bytes, ParsedRequest]" = OrderedDict()
-        self._response_cache: "OrderedDict[str, Dict[str, Any]]" = OrderedDict()
-        self._response_lock = threading.Lock()
+        self._parse_cache = BoundedLRU(PARSE_CACHE_CAPACITY)
+        self._region_memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        self._response_cache = BoundedLRU(RESPONSE_CACHE_CAPACITY)
         self._per_client: Dict[str, int] = {}
         self._task_index = 0
         # Task indices are handed out from the event loop AND the fast
@@ -459,7 +504,10 @@ class CompileServer:
         the same result every time, so the full WL-canonicalization
         cost is paid once per distinct body and repeat requests hit an
         LRU keyed by the body's SHA-256 — the step that makes warm
-        responses sub-millisecond.  Only the immutable parts (program,
+        responses sub-millisecond.  A new body is decoded and parsed on
+        the fast lane, its regions resolved through the region memo, so
+        a region seen in any earlier body is neither parsed nor
+        canonicalized again.  Only the immutable parts (program,
         machine, fingerprints) are shared; every request still gets a
         fresh scheduler instance, so scheduler state never leaks
         between compiles.
@@ -474,7 +522,6 @@ class CompileServer:
         cached = self._parse_cache.get(digest)
         if cached is not None:
             self.metrics.inc("serve.parse_hits")
-            self._parse_cache.move_to_end(digest)
             return replace(
                 cached,
                 scheduler=build_scheduler(
@@ -482,19 +529,31 @@ class CompileServer:
                 ),
             )
         self.metrics.inc("serve.parse_misses")
+        parsed = await asyncio.get_running_loop().run_in_executor(
+            self._fast_lane, self._parse_body, body
+        )
+        self.metrics.inc("serve.region_hits", parsed.region_hits)
+        self.metrics.inc("serve.region_misses", parsed.region_misses)
+        self._parse_cache[digest] = parsed
+        return parsed
+
+    def _parse_body(self, body: bytes) -> ParsedRequest:
+        """Decode, validate and fingerprint one new body (fast lane).
+
+        Decoding and parsing are CPU-bound, so both run here rather
+        than on the event loop.
+
+        Args:
+            body: Raw request body bytes.
+
+        Returns:
+            The validated request.
+        """
         try:
             data = json.loads(body.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireError("body", f"invalid JSON: {exc}")
-        # Parsing validates + fingerprints the whole program: CPU-bound,
-        # so it runs on the fast lane rather than the event loop.
-        parsed = await asyncio.get_running_loop().run_in_executor(
-            self._fast_lane, parse_request, data, self.registry
-        )
-        self._parse_cache[digest] = parsed
-        while len(self._parse_cache) > PARSE_CACHE_CAPACITY:
-            self._parse_cache.popitem(last=False)
-        return parsed
+        return parse_request(data, self.registry, self._region_memo)
 
     async def _compile_parsed(
         self, parsed: ParsedRequest
@@ -567,11 +626,9 @@ class CompileServer:
         Returns:
             A fresh response payload, or ``None`` when uncached.
         """
-        with self._response_lock:
-            cached = self._response_cache.get(parsed.key)
-            if cached is None:
-                return None
-            self._response_cache.move_to_end(parsed.key)
+        cached = self._response_cache.get(parsed.key)
+        if cached is None:
+            return None
         regions = cached["result"]["regions"]
         now = time.time()
         with self._index_lock:
@@ -740,10 +797,7 @@ class CompileServer:
         if result.status == STATUS_OK:
             # Only fully-ok results are replayable: failures must keep
             # re-compiling (the fallback chain may recover later).
-            with self._response_lock:
-                self._response_cache[parsed.key] = payload
-                while len(self._response_cache) > RESPONSE_CACHE_CAPACITY:
-                    self._response_cache.popitem(last=False)
+            self._response_cache[parsed.key] = payload
         return payload
 
 

@@ -17,15 +17,36 @@ Every validation failure raises :class:`WireError` with a JSON-path
 parses cleanly round-trips: ``program_from_dict(program_to_dict(p))``
 rebuilds an equivalent program whose per-region fingerprints are
 identical to the original's (pinned by ``tests/test_serve.py``).
+
+:func:`parse_request` resolves each region document through a region
+memo keyed by the document's re-encoded JSON text, so a server that
+sees the same region in many bodies parses and canonicalizes it once;
+the keys are the same as without the memo.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    MutableMapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
-from ..engine.fingerprint import Fingerprint, schedule_key
+from ..engine.fingerprint import (
+    Fingerprint,
+    canonical_form,
+    machine_spec_text,
+    schedule_key,
+)
 from ..ir.ddg import DataDependenceGraph, GraphError
 from ..ir.instruction import Instruction
 from ..ir.opcode import Opcode
@@ -345,15 +366,50 @@ def region_from_dict(data: Any, field: str = "region") -> Region:
     return region
 
 
-def program_from_dict(data: Any, field: str = "program") -> Program:
-    """Validate and rebuild a whole program document.
+@dataclass(frozen=True)
+class RegionForm:
+    """A validated region and its canonical DDG form.
+
+    The value of a region memo: everything :func:`parse_request` derives
+    from one region document alone.  Both parts are shared by every
+    request that carries the same document, so neither may be mutated.
+
+    Attributes:
+        region: The rebuilt region.
+        canonical: ``canonical_form(region.ddg)`` — the canonical
+            permutation and DDG text :func:`schedule_key` embeds — or
+            ``None`` when parsed without a memo.
+    """
+
+    region: Region
+    canonical: Optional[Tuple[Tuple[int, ...], str]] = None
+
+
+def _region_forms(
+    data: Any, field: str, memo: Optional[MutableMapping[str, RegionForm]]
+) -> Tuple[str, List[RegionForm], int]:
+    """Validate a program document, resolving each region through ``memo``.
+
+    The memo maps the SHA-256 of a region document's JSON text, as
+    ``json.dumps`` re-encodes the decoded dict, to its
+    :class:`RegionForm`.  ``json.dumps`` maps distinct decoded JSON
+    values to distinct texts (``2`` and ``2.0``, ``true`` and ``1``
+    included) and a region is a pure function of its decoded document,
+    so equal texts mean equal parses.  The program-level checks (name,
+    region count, instruction total) run on every call.  A region not in
+    the memo is parsed — raising :class:`WireError` with its own field
+    path when malformed, so a bad region is never stored — and
+    canonicalized, then stored.
 
     Args:
         data: The program JSON object (``name`` + ``regions``).
         field: JSON-path of ``data`` for error reporting.
+        memo: The region memo (anything with ``get`` and item
+            assignment), or ``None`` to parse every region without
+            keying or canonicalizing it.
 
     Returns:
-        The rebuilt :class:`Program`.
+        ``(program name, one form per region, memo hits)``.
     """
     if not isinstance(data, dict):
         raise WireError(field, "program must be an object")
@@ -365,15 +421,40 @@ def program_from_dict(data: Any, field: str = "program") -> Program:
         raise WireError(f"{field}.regions",
                         f"too many regions (max {MAX_REGIONS})")
     total = 0
-    regions = []
+    hits = 0
+    forms = []
     for index, region_data in enumerate(regions_data):
-        region = region_from_dict(region_data, f"{field}.regions[{index}]")
-        total += len(region.ddg)
+        region_field = f"{field}.regions[{index}]"
+        if memo is None:
+            form = RegionForm(region_from_dict(region_data, region_field))
+        else:
+            key = hashlib.sha256(json.dumps(region_data).encode()).hexdigest()
+            form = memo.get(key)
+            if form is not None:
+                hits += 1
+            else:
+                region = region_from_dict(region_data, region_field)
+                form = memo[key] = RegionForm(region, canonical_form(region.ddg))
+        total += len(form.region.ddg)
         if total > MAX_INSTRUCTIONS:
             raise WireError(f"{field}.regions",
                             f"too many instructions (max {MAX_INSTRUCTIONS})")
-        regions.append(region)
-    return Program(name=name, regions=regions)
+        forms.append(form)
+    return name, forms, hits
+
+
+def program_from_dict(data: Any, field: str = "program") -> Program:
+    """Validate and rebuild a whole program document.
+
+    Args:
+        data: The program JSON object (``name`` + ``regions``).
+        field: JSON-path of ``data`` for error reporting.
+
+    Returns:
+        The rebuilt :class:`Program`.
+    """
+    name, forms, _hits = _region_forms(data, field, None)
+    return Program(name=name, regions=[form.region for form in forms])
 
 
 # ----------------------------------------------------------------------
@@ -437,6 +518,8 @@ class ParsedRequest:
         key: The composite request key (SHA-256 hex over the region
             fingerprints + wire schema) used for in-flight
             deduplication.
+        region_hits: Regions resolved from the region memo.
+        region_misses: Regions parsed and canonicalized afresh.
     """
 
     program: Program
@@ -449,6 +532,8 @@ class ParsedRequest:
     verify: bool
     fingerprints: List[Fingerprint]
     key: str
+    region_hits: int
+    region_misses: int
 
 
 def build_scheduler(
@@ -508,12 +593,19 @@ def request_key(fingerprints: Sequence[Fingerprint]) -> str:
 def parse_request(
     data: Any,
     registry: Mapping[str, Callable[[], Scheduler]],
+    memo: Optional[MutableMapping[str, RegionForm]] = None,
 ) -> ParsedRequest:
     """Validate a ``POST /compile`` body end to end (the server half).
+
+    Each region is resolved through ``memo`` (see :func:`_region_forms`):
+    a region document seen before skips its parse and canonicalization,
+    and every key is the one a fresh parse would give.
 
     Args:
         data: The decoded JSON document.
         registry: Scheduler name → constructor map.
+        memo: Region memo shared across requests; ``None`` uses a fresh
+            one for this call alone.
 
     Returns:
         The :class:`ParsedRequest`, with per-region fingerprints and
@@ -544,16 +636,19 @@ def parse_request(
                            required=False, default=False)
     verify = _expect(data, "verify", (bool,), field,
                      required=False, default=False)
-    program = program_from_dict(
-        _expect(data, "program", (dict,), field), f"{field}.program"
+    name, forms, hits = _region_forms(
+        _expect(data, "program", (dict,), field), f"{field}.program",
+        {} if memo is None else memo,
     )
+    machine_text = machine_spec_text(machine_spec)
     fingerprints = [
-        schedule_key(region, machine, scheduler,
-                     check_values=check_values, verify=verify)
-        for region in program.regions
+        schedule_key(form.region, machine, scheduler,
+                     check_values=check_values, verify=verify,
+                     canonical=form.canonical, machine_text=machine_text)
+        for form in forms
     ]
     return ParsedRequest(
-        program=program,
+        program=Program(name=name, regions=[form.region for form in forms]),
         machine=machine,
         scheduler=scheduler,
         machine_spec=machine_spec,
@@ -563,4 +658,6 @@ def parse_request(
         verify=verify,
         fingerprints=fingerprints,
         key=request_key(fingerprints),
+        region_hits=hits,
+        region_misses=len(forms) - hits,
     )

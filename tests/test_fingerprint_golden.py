@@ -26,9 +26,11 @@ from hypothesis import given, settings, strategies as st
 from repro import ConvergentScheduler
 from repro.engine import FINGERPRINT_SCHEMA_VERSION
 from repro.engine.fingerprint import (
+    canonical_form,
     canonical_permutation,
     ddg_fingerprint,
     machine_payload,
+    machine_spec_text,
     schedule_key,
     scheduler_payload,
 )
@@ -212,6 +214,19 @@ class TestGoldenKeys:
             check_values=False, verify=True, deadline_s=2.5,
         )
         assert fp.key == GOLDEN_VARIANT_KEY
+
+    def test_precomputed_parts_give_the_same_keys(self):
+        """``canonical=`` and ``machine_text=`` are what ``schedule_key``
+        would compute itself."""
+        for spec, name, key, _ in GOLDEN_KEYS:
+            region, machine = _suite_region(spec, name)
+            fp = schedule_key(
+                region, machine, ConvergentScheduler(),
+                canonical=canonical_form(region.ddg),
+                machine_text=machine_spec_text(spec),
+            )
+            assert fp.key == key, f"{spec}/{name}"
+            assert fp.permutation == canonical_permutation(region.ddg)
 
     def test_suite_matches_oracle(self):
         """Permutations too, not just the digests built on them."""

@@ -32,11 +32,13 @@ import copy
 import json
 import socket
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from hypothesis import given, settings
 
 import repro.serve.server as server_mod
+import repro.serve.wire as wire_mod
 from repro.core.convergent import ConvergentScheduler
 from repro.engine import schedule_key
 from repro.engine.fingerprint import ddg_fingerprint
@@ -49,15 +51,19 @@ from repro.schedulers.fallback import FallbackChain
 from repro.serve import (
     ServeConfig,
     ServerThread,
+    WireError,
     compile_request,
     parse_request,
     program_from_dict,
     program_to_dict,
 )
+from repro.serve.server import REGION_MEMO_CAPACITY, BoundedLRU
+from repro.serve.wire import build_scheduler
 from repro.serve.loadtest import http_request
 from repro.verify.sweep import scheduler_registry
 from repro.workloads import RAW_SUITE, VLIW_SUITE, build_benchmark
 
+from tests.test_fingerprint_golden import GOLDEN_KEYS
 from tests.test_properties_engine import build_region, dag_recipes
 
 MACHINE_SPECS = ("raw4x4", "vliw4")
@@ -153,8 +159,7 @@ class TestEquivalence:
         status, _, cold = _post(server, body)
         assert status == 200
         srv = server.server
-        with srv._response_lock:
-            srv._response_cache.clear()
+        srv._response_cache.clear()
         hits_before = srv.cache.stats.hits
         status, _, warm = _post(server, body)
         assert status == 200
@@ -536,3 +541,200 @@ class TestChaos:
             snap = _counters(thread)
             assert snap["serve.responses.ok"] == 2
             assert snap.get("serve.responses.error", 0) == 0
+
+
+# -- the region memo ---------------------------------------------------
+
+
+def _suite(spec):
+    """``(name, program)`` for every suite program of one machine."""
+    machine = machine_from_spec(spec)
+    suite = RAW_SUITE if spec == "raw4x4" else VLIW_SUITE
+    return [(name, build_benchmark(name, machine)) for name in suite]
+
+
+def _joined(programs):
+    """One program carrying the regions of ``programs``, in order."""
+    return Program(
+        "+".join(p.name for p in programs),
+        regions=[region for p in programs for region in p.regions],
+    )
+
+
+def _decoded(program, spec, **kwargs):
+    """A request document as the server sees it, after ``json.loads``."""
+    return json.loads(_body(program, spec, "convergent", check_values=True, **kwargs))
+
+
+def _keys(parsed):
+    """The per-region keys of a parsed request."""
+    return [fp.key for fp in parsed.fingerprints]
+
+
+def _unmemoized_keys(data):
+    """Keys of a fresh, memo-free parse: ``schedule_key`` on each region."""
+    program = program_from_dict(data["program"])
+    machine = machine_from_spec(data["machine"])
+    scheduler = build_scheduler(
+        data["scheduler"], scheduler_registry(), data.get("seed")
+    )
+    return [
+        schedule_key(region, machine, scheduler,
+                     check_values=data["check_values"], verify=data["verify"]).key
+        for region in program.regions
+    ]
+
+
+class TestRegionMemo:
+    """Regions resolved through the memo key exactly as fresh parses do."""
+
+    REGISTRY = scheduler_registry()
+
+    def test_keys_match_unmemoized_and_golden_keys(self):
+        golden = {(spec, name): key for spec, name, key, _ in GOLDEN_KEYS}
+        memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        for spec in MACHINE_SPECS:
+            suite = _suite(spec)
+            for name, program in suite:
+                data = _decoded(program, spec)
+                parsed = parse_request(data, self.REGISTRY, memo)
+                assert parsed.region_hits + parsed.region_misses == 1
+                assert _keys(parsed) == _unmemoized_keys(data), f"{spec}/{name}"
+                assert _keys(parsed) == [golden[(spec, name)]], f"{spec}/{name}"
+            n = len(suite)
+            for i in range(n):
+                picks = [suite[i], suite[(i + 1) % n], suite[(i + 3) % n]]
+                data = _decoded(_joined([p for _, p in picks]), spec)
+                parsed = parse_request(data, self.REGISTRY, memo)
+                assert (parsed.region_hits, parsed.region_misses) == (3, 0)
+                assert _keys(parsed) == _unmemoized_keys(data)
+                assert _keys(parsed) == [golden[(spec, name)] for name, _ in picks]
+
+    @pytest.mark.parametrize("change", ["immediate", "latency", "name"])
+    def test_one_changed_region_misses_alone(self, change):
+        suite = dict(_suite("raw4x4"))
+        base = _decoded(
+            _joined([suite["cholesky"], suite["sha"], suite["mxm"]]), "raw4x4"
+        )
+        target = base["program"]["regions"][1]
+        slot = next(
+            i for i, inst in enumerate(target["instructions"])
+            if isinstance(inst["immediate"], int)
+        )
+        target["instructions"][slot]["immediate"] = 2
+        memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        before = _keys(parse_request(base, self.REGISTRY, memo))
+        changed = copy.deepcopy(base)
+        region = changed["program"]["regions"][1]
+        if change == "immediate":
+            region["instructions"][slot]["immediate"] = 2.0
+        elif change == "latency":
+            region["edges"][0][2] += 1
+        else:
+            region["name"] += "'"
+        parsed = parse_request(changed, self.REGISTRY, memo)
+        assert (parsed.region_hits, parsed.region_misses) == (2, 1)
+        assert _keys(parsed) == _unmemoized_keys(changed)
+        after = _keys(parsed)
+        assert after[1] != before[1]
+        assert (after[0], after[2]) == (before[0], before[2])
+
+    def test_shape_limits_hold_when_every_region_hits(self, monkeypatch):
+        program = _joined([p for _, p in _suite("vliw4")[:3]])
+        data = _decoded(program, "vliw4")
+        memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        parse_request(data, self.REGISTRY, memo)
+
+        def unreachable(*args):
+            raise AssertionError("every region should come from the memo")
+
+        monkeypatch.setattr(wire_mod, "region_from_dict", unreachable)
+        total = program.total_instructions()
+        monkeypatch.setattr(wire_mod, "MAX_INSTRUCTIONS", total - 1)
+        with pytest.raises(WireError, match="too many instructions") as caught:
+            parse_request(data, self.REGISTRY, memo)
+        assert caught.value.field == "request.program.regions"
+        monkeypatch.setattr(wire_mod, "MAX_INSTRUCTIONS", total)
+        monkeypatch.setattr(wire_mod, "MAX_REGIONS", len(program.regions) - 1)
+        with pytest.raises(WireError, match="too many regions") as caught:
+            parse_request(data, self.REGISTRY, memo)
+        assert caught.value.field == "request.program.regions"
+        monkeypatch.setattr(wire_mod, "MAX_REGIONS", len(program.regions))
+        assert parse_request(data, self.REGISTRY, memo).region_hits == 3
+
+    def test_malformed_region_after_memoized_ones(self):
+        good = _decoded(_joined([p for _, p in _suite("vliw4")[:2]]), "vliw4")
+        memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        parse_request(good, self.REGISTRY, memo)
+        bad = copy.deepcopy(good)
+        broken = copy.deepcopy(bad["program"]["regions"][0])
+        broken["edges"].append([0, 10_000, 1, "data"])
+        bad["program"]["regions"].append(broken)
+        errors = []
+        for through in (memo, memo, None):
+            with pytest.raises(WireError) as caught:
+                parse_request(bad, self.REGISTRY, through)
+            errors.append((caught.value.field, caught.value.message))
+        position = len(broken["edges"]) - 1
+        assert errors == [(f"request.program.regions[2].edges[{position}]",
+                           "dst uid 10000 out of range")] * 3
+
+    def test_threads_share_one_memo(self):
+        suite = [p for _, p in _suite("vliw4")]
+        n = len(suite)
+        bodies = [
+            _decoded(_joined([suite[i], suite[(i + 2) % n], suite[(i + 5) % n]]),
+                     "vliw4", seed=i)
+            for i in range(n)
+        ]
+        expected = [_unmemoized_keys(data) for data in bodies]
+        memo = BoundedLRU(REGION_MEMO_CAPACITY)
+
+        def parse_all(start):
+            order = list(range(start, n)) + list(range(start))
+            keys = {i: _keys(parse_request(bodies[i], self.REGISTRY, memo))
+                    for i in order}
+            return [keys[i] for i in range(n)]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            results = list(pool.map(parse_all, range(4)))
+        assert results == [expected] * 4
+        assert len(memo) == n
+
+    def test_memo_never_exceeds_its_capacity(self):
+        class Watched(BoundedLRU):
+            peak = 0
+
+            def __setitem__(self, key, value):
+                super().__setitem__(key, value)
+                self.peak = max(self.peak, len(self))
+
+        memo = Watched(2)
+        data = _decoded(_joined([p for _, p in _suite("vliw4")]), "vliw4")
+        for _ in range(2):
+            parsed = parse_request(data, self.REGISTRY, memo)
+            assert _keys(parsed) == _unmemoized_keys(data)
+        assert memo.peak == len(memo) == 2
+
+    def test_recombined_body_hits_region_memo(self):
+        """Programs A and B, then A+B: every region of the new body comes
+        from the memo, and it is served warm with serial cycles."""
+        machine = machine_from_spec("vliw4")
+        parts = [build_benchmark(name, machine) for name in ("fir", "mxm")]
+        combined = _joined(parts)
+        with ServerThread() as thread:
+            for program in parts:
+                status, _, payload = _post(thread, _body(program, "vliw4", "convergent"))
+                assert (status, payload["served"]) == (200, "compile")
+            before = _counters(thread)
+            status, _, payload = _post(thread, _body(combined, "vliw4", "convergent"))
+            after = _counters(thread)
+        assert status == 200
+        assert payload["served"] == "cache"
+        assert after["serve.region_hits"] - before["serve.region_hits"] == len(
+            combined.regions
+        )
+        assert after["serve.region_misses"] == before["serve.region_misses"]
+        serial = run_program(combined, machine, ConvergentScheduler(), check_values=False)
+        assert payload["result"]["cycles"] == serial.cycles
+        assert _canon(payload["result"]) == _canon(program_result_to_dict(serial))
