@@ -645,33 +645,6 @@ def register_pressure_kernel(
     return out[0]
 
 
-def blend_rows_from_source(
-    matrix: PreferenceMatrix, rows: Sequence[int], source: int, keep: float
-) -> None:
-    """Blend one source row into several destination rows at once.
-
-    Batched ``W[r] = keep·W[r] + (1-keep)·W[source]`` for all ``r`` in
-    ``rows`` — bit-identical to sequential per-row
-    :meth:`~repro.core.weights.PreferenceMatrix.blend` calls because the
-    rows are distinct and none of them is the source (PATHPROP's walks
-    guarantee both).
-
-    Args:
-        matrix: The preference matrix to update (caller normalizes).
-        rows: Distinct destination rows, none equal to ``source``.
-        source: The row blended into every destination.
-        keep: Fraction of each destination's own weights retained.
-    """
-    if not 0.0 <= keep <= 1.0:
-        raise ValueError("keep must be in [0, 1]")
-    if not len(rows):
-        return
-    w = matrix.data
-    idx = np.asarray(rows, dtype=np.int64)
-    w[idx] = keep * w[idx] + (1.0 - keep) * w[source]
-    matrix.touch()
-
-
 def pathprop_kernel(
     index: RegionIndex, matrix: PreferenceMatrix, threshold: float
 ) -> None:
@@ -680,10 +653,12 @@ def pathprop_kernel(
     The walk structure depends only on the *pre-pass* confidences, the
     graph, and preplacement — never on weights mutated mid-pass — so
     each source's down/up walk is computed as a Python chain over the
-    index's edge lists and then applied as one batched
-    :func:`blend_rows_from_source` per walk.  Sources stay sequential:
-    an earlier source's blends legitimately change what a later source
-    propagates.
+    index's edge lists.  The blends ``W[r] = keep·W[r] +
+    (1-keep)·W[source]`` of consecutive walks are batched across
+    sources into one fancy-indexed assignment (``_flush``) while no
+    blend can observe another, so every source still reads what the
+    sequential reference gives it: an earlier source's blends
+    legitimately change what a later source propagates.
 
     Args:
         index: The region's :class:`RegionIndex`.

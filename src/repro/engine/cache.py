@@ -12,10 +12,11 @@ requester labels its instructions differently than the producer did.
 
 Two layers:
 
-* **memory** — a bounded LRU of serialized entries.  Entries are stored
-  and returned as *fresh* deserialized objects, so mutating a returned
-  :class:`~repro.schedulers.schedule.Schedule` can never corrupt the
-  cached copy;
+* **memory** — a bounded LRU of decoded, immutable entries: the result
+  numbers plus the canonical schedule as tuples of ints, coerced once
+  when stored or read from disk.  Every hit builds a *fresh*
+  :class:`~repro.schedulers.schedule.Schedule` from the entry, so
+  mutating a returned schedule can never corrupt the cached copy;
 * **disk** (optional) — one ``<key>.json`` per entry under a cache
   directory, written atomically (temp file + rename) so concurrent
   workers sharing the directory never observe torn entries.
@@ -170,65 +171,115 @@ class CacheStats:
         self.quarantined += int(other.get("quarantined", 0))
 
 
-def _schedule_to_canonical(
-    schedule: Schedule, permutation: Tuple[int, ...]
-) -> Dict[str, Any]:
-    """Serialize a schedule with uids mapped to canonical positions."""
-    ops = sorted(
-        [permutation[op.uid], op.cluster, op.unit, op.start, op.latency]
-        for op in schedule.ops.values()
-    )
-    comms = sorted(
-        [
-            permutation[ev.producer_uid],
-            ev.src,
-            ev.dst,
-            ev.issue,
-            ev.arrival,
-            [list(resource) for resource in ev.resources],
-        ]
-        for ev in schedule.comms
-    )
-    return {
-        "scheduler_name": schedule.scheduler_name,
-        "machine_name": schedule.machine_name,
-        "ops": ops,
-        "comms": comms,
-    }
+#: One canonical op row: ``(position, cluster, unit, start, latency)``.
+OpRow = Tuple[int, int, int, int, int]
+
+#: One canonical comm row: ``(position, src, dst, issue, arrival,
+#: resources)``, each resource ``(name, a, b)``.
+CommRow = Tuple[int, int, int, int, int, Tuple[Tuple[str, int, int], ...]]
 
 
-def _schedule_from_canonical(
-    data: Dict[str, Any], fingerprint: Fingerprint, region: Region
+@dataclass(frozen=True)
+class _Entry:
+    """One stored outcome, decoded once and never mutated.
+
+    The memory layer holds these; every hit builds a fresh
+    :class:`Schedule` from one.  The schedule is kept in canonical
+    coordinates as sorted rows of ints (see :data:`OpRow`,
+    :data:`CommRow`), so a hit translates positions through the
+    requester's permutation and coerces nothing.
+    """
+
+    cycles: int
+    transfers: int
+    utilization: float
+    comm_busy: int
+    compile_seconds: float
+    verified: Optional[bool]
+    diagnostics: Tuple[str, ...]
+    scheduler_name: str
+    machine_name: str
+    ops: Tuple[OpRow, ...]
+    comms: Tuple[CommRow, ...]
+
+    def text(self, key: str) -> str:
+        """The entry's JSON payload, as the disk layer stores it."""
+        return json.dumps(
+            {
+                "kind": ENTRY_KIND,
+                "schema_version": FINGERPRINT_SCHEMA_VERSION,
+                "key": key,
+                "cycles": self.cycles,
+                "transfers": self.transfers,
+                "utilization": self.utilization,
+                "comm_busy": self.comm_busy,
+                "compile_seconds": self.compile_seconds,
+                "verified": self.verified,
+                "diagnostics": list(self.diagnostics),
+                "schedule": {
+                    "scheduler_name": self.scheduler_name,
+                    "machine_name": self.machine_name,
+                    "ops": self.ops,
+                    "comms": self.comms,
+                },
+            },
+            sort_keys=True,
+        )
+
+
+def _op_row(position: Any, cluster: Any, unit: Any, start: Any, latency: Any) -> OpRow:
+    """One op row with every number coerced to ``int``."""
+    return (int(position), int(cluster), int(unit), int(start), int(latency))
+
+
+def _comm_row(position: Any, src: Any, dst: Any, issue: Any, arrival: Any,
+              resources: Any) -> CommRow:
+    """One comm row with every number coerced to ``int``."""
+    return (
+        int(position), int(src), int(dst), int(issue), int(arrival),
+        tuple((str(name), int(a), int(b)) for name, a, b in resources),
+    )
+
+
+def _decode_entry(text: str) -> _Entry:
+    """Decode and validate one entry payload.
+
+    Raises:
+        KeyError, ValueError, TypeError, IndexError, AttributeError: On
+            a malformed payload.
+    """
+    data = json.loads(text)
+    schedule = data["schedule"]
+    return _Entry(
+        cycles=int(data["cycles"]),
+        transfers=int(data["transfers"]),
+        utilization=float(data["utilization"]),
+        comm_busy=int(data["comm_busy"]),
+        compile_seconds=float(data["compile_seconds"]),
+        verified=data.get("verified"),
+        diagnostics=tuple(data.get("diagnostics", [])),
+        scheduler_name=str(schedule.get("scheduler_name", "")),
+        machine_name=str(schedule.get("machine_name", "")),
+        ops=tuple(_op_row(*row) for row in schedule["ops"]),
+        comms=tuple(_comm_row(*row) for row in schedule["comms"]),
+    )
+
+
+def _schedule_from_entry(
+    entry: _Entry, fingerprint: Fingerprint, region: Region
 ) -> Schedule:
     """Rebuild a schedule in the requesting region's uid space."""
     uid_of = fingerprint.uid_of_position()
     schedule = Schedule(
         region_name=region.name,
-        machine_name=str(data.get("machine_name", "")),
-        scheduler_name=str(data.get("scheduler_name", "")),
+        machine_name=entry.machine_name,
+        scheduler_name=entry.scheduler_name,
     )
-    for position, cluster, unit, start, latency in data["ops"]:
-        schedule.add_op(
-            ScheduledOp(
-                uid=uid_of[position],
-                cluster=int(cluster),
-                unit=int(unit),
-                start=int(start),
-                latency=int(latency),
-            )
-        )
+    for position, cluster, unit, start, latency in entry.ops:
+        schedule.add_op(ScheduledOp(uid_of[position], cluster, unit, start, latency))
     comms = [
-        CommEvent(
-            producer_uid=uid_of[position],
-            src=int(src),
-            dst=int(dst),
-            issue=int(issue),
-            arrival=int(arrival),
-            resources=tuple(
-                (str(name), int(a), int(b)) for name, a, b in resources
-            ),
-        )
-        for position, src, dst, issue, arrival, resources in data["comms"]
+        CommEvent(uid_of[position], src, dst, issue, arrival, resources)
+        for position, src, dst, issue, arrival, resources in entry.comms
     ]
     comms.sort(key=lambda ev: (ev.issue, ev.producer_uid, ev.dst))
     for event in comms:
@@ -255,7 +306,7 @@ class ScheduleCache:
         self.capacity = capacity
         self.disk_dir = Path(disk_dir) if disk_dir is not None else None
         self.stats = CacheStats()
-        self._memory: "OrderedDict[str, str]" = OrderedDict()
+        self._memory: "OrderedDict[str, _Entry]" = OrderedDict()
         # One cache object may be shared between threads (the compile
         # server's warm fast lane and its engine lane); the lock keeps
         # the LRU order and the stats counters coherent.  Held only for
@@ -297,32 +348,21 @@ class ScheduleCache:
             A fresh :class:`CacheHit`, or ``None`` on a miss.
         """
         with self._lock:
-            text = self._memory.get(fingerprint.key)
-            if text is not None:
+            entry = self._memory.get(fingerprint.key)
+            if entry is not None:
                 self._memory.move_to_end(fingerprint.key)
             elif self.disk_dir is not None:
-                text = self._disk_read(fingerprint.key)
-                if text is not None:
-                    self._memory_store(fingerprint.key, text)
-            if text is None:
+                entry = self._disk_read(fingerprint.key)
+                if entry is not None:
+                    self._memory_store(fingerprint.key, entry)
+            if entry is None:
                 self.stats.misses += 1
                 return None
             try:
-                entry = json.loads(text)
-                hit = CacheHit(
-                    schedule=_schedule_from_canonical(
-                        entry["schedule"], fingerprint, region
-                    ),
-                    cycles=int(entry["cycles"]),
-                    transfers=int(entry["transfers"]),
-                    utilization=float(entry["utilization"]),
-                    comm_busy=int(entry["comm_busy"]),
-                    compile_seconds=float(entry["compile_seconds"]),
-                    verified=entry.get("verified"),
-                    diagnostics=list(entry.get("diagnostics", [])),
-                )
-            except (KeyError, ValueError, TypeError, IndexError):
-                # A malformed entry (schema drift, truncation) is a miss —
+                schedule = _schedule_from_entry(entry, fingerprint, region)
+            except (IndexError, ValueError):
+                # Positions that do not fit the requester's graph (an
+                # entry stored under a colliding key) are a miss —
                 # counted, quarantined on disk, never raised into a compile.
                 self._memory.pop(fingerprint.key, None)
                 self.stats.corrupt += 1
@@ -331,7 +371,16 @@ class ScheduleCache:
                 self.stats.misses += 1
                 return None
             self.stats.hits += 1
-            return hit
+        return CacheHit(
+            schedule=schedule,
+            cycles=entry.cycles,
+            transfers=entry.transfers,
+            utilization=entry.utilization,
+            comm_busy=entry.comm_busy,
+            compile_seconds=entry.compile_seconds,
+            verified=entry.verified,
+            diagnostics=list(entry.diagnostics),
+        )
 
     def contains(self, key: str) -> bool:
         """Probe for an entry without serving it or touching the stats.
@@ -385,23 +434,31 @@ class ScheduleCache:
             verified: Static-verifier verdict, when the run was gated.
             diagnostics: Rendered verifier diagnostics, when gated.
         """
-        entry = {
-            "kind": ENTRY_KIND,
-            "schema_version": FINGERPRINT_SCHEMA_VERSION,
-            "key": fingerprint.key,
-            "cycles": int(cycles),
-            "transfers": int(transfers),
-            "utilization": float(utilization),
-            "comm_busy": int(comm_busy),
-            "compile_seconds": float(compile_seconds),
-            "verified": verified,
-            "diagnostics": list(diagnostics or []),
-            "schedule": _schedule_to_canonical(schedule, fingerprint.permutation),
-        }
-        text = json.dumps(entry, sort_keys=True)
+        permutation = fingerprint.permutation
+        entry = _Entry(
+            cycles=int(cycles),
+            transfers=int(transfers),
+            utilization=float(utilization),
+            comm_busy=int(comm_busy),
+            compile_seconds=float(compile_seconds),
+            verified=verified,
+            diagnostics=tuple(diagnostics or ()),
+            scheduler_name=str(schedule.scheduler_name),
+            machine_name=str(schedule.machine_name),
+            ops=tuple(sorted(
+                _op_row(permutation[op.uid], op.cluster, op.unit, op.start, op.latency)
+                for op in schedule.ops.values()
+            )),
+            comms=tuple(sorted(
+                _comm_row(permutation[ev.producer_uid], ev.src, ev.dst,
+                          ev.issue, ev.arrival, ev.resources)
+                for ev in schedule.comms
+            )),
+        )
+        text = entry.text(fingerprint.key) if self.disk_dir is not None else None
         with self._lock:
-            self._memory_store(fingerprint.key, text)
-            if self.disk_dir is not None:
+            self._memory_store(fingerprint.key, entry)
+            if text is not None:
                 self._disk_write(fingerprint.key, text)
             self.stats.stores += 1
 
@@ -417,9 +474,9 @@ class ScheduleCache:
     # Layers
     # ------------------------------------------------------------------
 
-    def _memory_store(self, key: str, text: str) -> None:
+    def _memory_store(self, key: str, entry: _Entry) -> None:
         """Insert into the LRU, evicting the oldest entry when full."""
-        self._memory[key] = text
+        self._memory[key] = entry
         self._memory.move_to_end(key)
         while len(self._memory) > self.capacity:
             self._memory.popitem(last=False)
@@ -484,32 +541,27 @@ class ScheduleCache:
             raise ValueError("cache file checksum mismatch")
         return payload
 
-    def _disk_read(self, key: str) -> Optional[str]:
-        """Read and verify one entry's payload from disk.
+    def _disk_read(self, key: str) -> Optional[_Entry]:
+        """Read, verify and decode one entry from disk.
 
         A missing file is a plain miss.  An unreadable, corrupt,
-        truncated, or version-skewed file is counted (``corrupt``),
-        quarantined, and reported as a miss — disk damage can degrade
-        hit rate, never a compile.
+        truncated, version-skewed or malformed file is counted
+        (``corrupt``), quarantined, and reported as a miss — disk damage
+        can degrade hit rate, never a compile.
 
         Args:
             key: The fingerprint key of the entry.
 
         Returns:
-            The verified payload text, or ``None``.
+            The decoded entry, or ``None``.
         """
         path = self._disk_path(key)
         try:
-            text = path.read_text()
+            return _decode_entry(self._unwrap(path.read_text()))
         except FileNotFoundError:
             return None
-        except (OSError, UnicodeDecodeError):
-            self.stats.corrupt += 1
-            self._quarantine(path)
-            return None
-        try:
-            return self._unwrap(text)
-        except (ValueError, TypeError):
+        except (OSError, UnicodeDecodeError, KeyError, ValueError, TypeError,
+                IndexError, AttributeError):
             self.stats.corrupt += 1
             self._quarantine(path)
             return None
@@ -574,8 +626,9 @@ class ScheduleCache:
         """Audit every on-disk entry; quarantine the bad ones.
 
         Each ``<key>.json`` is checked end to end: wrapper shape, file
-        version, SHA-256 checksum, entry JSON, entry ``kind``, and
-        fingerprint ``schema_version``.  Files failing any check are
+        version, SHA-256 checksum, entry JSON, entry ``kind``,
+        fingerprint ``schema_version``, and the entry decode :meth:`get`
+        runs.  Files failing any check are
         moved to ``quarantine/`` and counted.
 
         Returns:
@@ -601,9 +654,12 @@ class ScheduleCache:
                     problem = "corrupt"
                 elif entry.get("schema_version") != FINGERPRINT_SCHEMA_VERSION:
                     problem = "version_skew"
+                else:
+                    _decode_entry(payload)  # what get() would serve
             except ValueError as exc:
                 problem = "version_skew" if "version skew" in str(exc) else "corrupt"
-            except (OSError, UnicodeDecodeError, TypeError):
+            except (OSError, UnicodeDecodeError, TypeError, KeyError, IndexError,
+                    AttributeError):
                 problem = "corrupt"
             if problem is None:
                 report["ok"] += 1

@@ -35,6 +35,11 @@ pins the keys of the suite programs and checks the spliced text against
 a plain ``json.dumps`` oracle; a change to either requires bumping
 :data:`FINGERPRINT_SCHEMA_VERSION`.
 
+Steps 1–3 run once per distinct graph content: :func:`canonical_form`
+memoizes its result under a :func:`content_digest` of everything it
+reads, recomputed on every call, so a graph seen before costs one digest
+and a graph changed since is canonicalized afresh.
+
 :data:`FINGERPRINT_FIELDS` is the audited schema: every field consumed
 by the fingerprint, grouped by component.  ``scripts/
 check_fingerprint_schema.py`` verifies the documentation in
@@ -45,6 +50,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import attrgetter
@@ -57,6 +63,7 @@ from ..ir.regions import Region
 from ..machine import machine_from_spec
 from ..machine.machine import Machine
 from ..schedulers.base import Scheduler
+from .lru import BoundedLRU
 
 #: Bump on any incompatible change to the fingerprint computation; old
 #: cache entries then become unreachable instead of wrong.
@@ -110,6 +117,41 @@ FINGERPRINT_FIELDS: Dict[str, Tuple[str, ...]] = {
 #: builds a fresh encoder with on every call, so its text is the same.
 _ENCODER = json.JSONEncoder(sort_keys=True, default=str)
 _encode = _ENCODER.encode
+
+
+#: Canonical forms kept by :func:`canonical_form`'s content memo.  Each
+#: is a few kilobytes of text (tens for the largest synthetic graphs).
+CANONICAL_MEMO_CAPACITY = 1024
+
+_CANONICAL_MEMO = BoundedLRU(CANONICAL_MEMO_CAPACITY)
+
+
+def content_digest(value: Any) -> Optional[str]:
+    """SHA-256 hex digest of ``pickle.dumps(value, 5)``, the key of a content memo.
+
+    Pickle is type-exact: ``1``, ``1.0`` and ``True``, ``0.0`` and
+    ``-0.0``, ``np.int64(0)`` and ``np.float64(0.0)`` all encode
+    differently, and a pickle decodes back to one value, so equal
+    digests mean equal values.  Its identity memo can only make *equal*
+    values encode differently (when one shares an object another
+    repeats), which costs a memo miss, never a wrong hit.  (``marshal``
+    would not do: it writes numpy scalars as raw buffer bytes, so
+    ``np.int64(0)`` and ``np.float64(0.0)`` collide, and its
+    back-references follow reference counts, so one value encodes
+    differently depending on what else is alive.)
+
+    Args:
+        value: The content to key, built from builtin or numpy values.
+
+    Returns:
+        The 64-hex-digit digest, or ``None`` when pickle cannot encode
+        ``value`` — the caller then computes its result without the memo.
+    """
+    try:
+        data = pickle.dumps(value, 5)
+    except (pickle.PicklingError, TypeError, AttributeError, ValueError):
+        return None
+    return hashlib.sha256(data).hexdigest()
 
 
 def _digest_text(text: str) -> str:
@@ -232,6 +274,27 @@ def _edge_entries(
     )
 
 
+def _canonical_key(ddg: DataDependenceGraph) -> Optional[str]:
+    """The content digest of everything :func:`_canonical_form` reads.
+
+    That is each instruction's ``(opcode, home_cluster, bank,
+    immediate, operands)`` and each uid's predecessor ``(src, kind,
+    latency)`` and successor ``(dst, kind, latency)`` lists in adjacency
+    order.  The order is part of the key because the text depends on
+    it: the topological order follows the successor lists, and the
+    stable sorts of :func:`_edge_entries` and of the edge rows keep
+    adjacency order among ties such as latencies ``1`` and ``1.0``.
+    """
+    n = len(ddg)
+    nodes = [
+        (inst.opcode.value, inst.home_cluster, inst.bank, inst.immediate, inst.operands)
+        for inst in ddg.instructions
+    ]
+    preds = [[(e.src, e.kind, e.latency) for e in ddg.predecessors(uid)] for uid in range(n)]
+    succs = [[(e.dst, e.kind, e.latency) for e in ddg.successors(uid)] for uid in range(n)]
+    return content_digest((nodes, preds, succs))
+
+
 def canonical_form(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
     """The canonical permutation and the canonical DDG section's JSON text.
 
@@ -239,20 +302,35 @@ def canonical_form(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
     that keys the same unchanged graph many times can compute it once
     and hand it over as ``schedule_key(..., canonical=...)``.
 
+    Results are memoized per process by content, never by object:
+    graphs are mutable, so a memo keyed on the graph could serve the
+    text of a graph that has since changed — a wrong cache hit.  The key
+    (:func:`_canonical_key`) is a digest of everything the computation
+    reads, recomputed on every call, so a graph edited in place gets its
+    fresh text.  (The machine and scheduler payloads are rebuilt on
+    every call for the same reason, unless the caller hands over text
+    memoized on immutable inputs, such as :func:`machine_spec_text`.)
+    """
+    key = _canonical_key(ddg)
+    form = None if key is None else _CANONICAL_MEMO.get(key)
+    if form is None:
+        form = _canonical_form(ddg)
+        if key is not None:
+            _CANONICAL_MEMO[key] = form
+    return form
+
+
+def _canonical_form(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
+    """:func:`canonical_form` computed afresh.
+
     Every instruction gets a downward hash over ``["d", signature,
     sorted in-edges, operands]`` (in-edges carry the producers'
     downward hashes, operands list them in operand order) and an upward
     hash over ``["u", signature, sorted out-edges]``; the combined hash
     ``[down, up]`` orders the nodes.  Each hash input is spliced from
     pre-encoded fragments — hex digests need no escaping, so
-    ``'"' + h + '"'`` is their JSON.
-
-    Everything is memoized within this one call only: graphs are
-    mutable, so a memo that outlived the call could serve the text of a
-    graph that has since changed — a wrong cache hit.  (The machine and
-    scheduler payloads are rebuilt on every call for the same reason,
-    unless the caller hands over text memoized on immutable inputs, such
-    as :func:`machine_spec_text`.)
+    ``'"' + h + '"'`` is their JSON.  Fragments are memoized within the
+    call only.
     """
     n = len(ddg)
     instructions = ddg.instructions

@@ -36,12 +36,12 @@ import json
 import os
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from ..engine.cache import ScheduleCache
+from ..engine.lru import BoundedLRU
 from ..engine.pool import (
     CACHE_HIT,
     CompilationEngine,
@@ -137,46 +137,6 @@ class ServeConfig:
     retry_after_s: float = 1.0
     ledger_path: Optional[str] = None
     max_body_bytes: int = 8 * 1024 * 1024
-
-
-class BoundedLRU:
-    """A bounded, thread-safe least-recently-used map.
-
-    The server's three content-addressed caches are instances: ``get``
-    refreshes an entry, assignment inserts one and evicts the least
-    recently used beyond ``capacity``.  Values are never ``None``.
-    """
-
-    def __init__(self, capacity: int) -> None:
-        """An empty map holding at most ``capacity`` entries."""
-        self.capacity = capacity
-        self._items: "OrderedDict[Any, Any]" = OrderedDict()
-        self._lock = threading.Lock()
-
-    def get(self, key: Any) -> Any:
-        """The value under ``key`` (now most recent), or ``None``."""
-        with self._lock:
-            value = self._items.get(key)
-            if value is not None:
-                self._items.move_to_end(key)
-            return value
-
-    def __setitem__(self, key: Any, value: Any) -> None:
-        """Insert ``value`` as most recent, evicting past the capacity."""
-        with self._lock:
-            self._items[key] = value
-            self._items.move_to_end(key)
-            while len(self._items) > self.capacity:
-                self._items.popitem(last=False)
-
-    def __len__(self) -> int:
-        """The number of entries held."""
-        return len(self._items)
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        with self._lock:
-            self._items.clear()
 
 
 class CompileServer:

@@ -19,7 +19,7 @@ rebuilds an equivalent program whose per-region fingerprints are
 identical to the original's (pinned by ``tests/test_serve.py``).
 
 :func:`parse_request` resolves each region document through a region
-memo keyed by the document's re-encoded JSON text, so a server that
+memo keyed by a content digest of the decoded document, so a server that
 sees the same region in many bodies parses and canonicalizes it once;
 the keys are the same as without the memo.
 """
@@ -27,7 +27,6 @@ the keys are the same as without the memo.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import (
     Any,
@@ -44,6 +43,7 @@ from typing import (
 from ..engine.fingerprint import (
     Fingerprint,
     canonical_form,
+    content_digest,
     machine_spec_text,
     schedule_key,
 )
@@ -390,16 +390,17 @@ def _region_forms(
 ) -> Tuple[str, List[RegionForm], int]:
     """Validate a program document, resolving each region through ``memo``.
 
-    The memo maps the SHA-256 of a region document's JSON text, as
-    ``json.dumps`` re-encodes the decoded dict, to its
-    :class:`RegionForm`.  ``json.dumps`` maps distinct decoded JSON
-    values to distinct texts (``2`` and ``2.0``, ``true`` and ``1``
-    included) and a region is a pure function of its decoded document,
-    so equal texts mean equal parses.  The program-level checks (name,
-    region count, instruction total) run on every call.  A region not in
-    the memo is parsed — raising :class:`WireError` with its own field
-    path when malformed, so a bad region is never stored — and
-    canonicalized, then stored.
+    The memo maps the :func:`~repro.engine.fingerprint.content_digest`
+    of a decoded region document to its :class:`RegionForm`.  The
+    digest tells distinct decoded values apart (``2`` and ``2.0``,
+    ``true`` and ``1`` included) and a region is a pure function of its
+    decoded document, so equal digests mean equal parses.  The
+    program-level checks (name, region count, instruction total) run on
+    every call.  A region not in the memo is parsed — raising
+    :class:`WireError` with its own field path when malformed, so a bad
+    region is never stored — and canonicalized through
+    :func:`~repro.engine.fingerprint.canonical_form`'s own memo, then
+    stored.
 
     Args:
         data: The program JSON object (``name`` + ``regions``).
@@ -428,13 +429,15 @@ def _region_forms(
         if memo is None:
             form = RegionForm(region_from_dict(region_data, region_field))
         else:
-            key = hashlib.sha256(json.dumps(region_data).encode()).hexdigest()
-            form = memo.get(key)
+            key = content_digest(region_data)
+            form = None if key is None else memo.get(key)
             if form is not None:
                 hits += 1
             else:
                 region = region_from_dict(region_data, region_field)
-                form = memo[key] = RegionForm(region, canonical_form(region.ddg))
+                form = RegionForm(region, canonical_form(region.ddg))
+                if key is not None:
+                    memo[key] = form
         total += len(form.region.ddg)
         if total > MAX_INSTRUCTIONS:
             raise WireError(f"{field}.regions",

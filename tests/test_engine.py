@@ -12,6 +12,10 @@ objects modulo wall-clock timing, and raw schedules op for op.
 from __future__ import annotations
 
 import copy
+import hashlib
+import json
+import shutil
+from pathlib import Path
 
 import pytest
 
@@ -20,10 +24,16 @@ from repro.engine import (
     CompilationEngine,
     RegionTask,
     ScheduleCache,
+    schedule_key,
 )
 from repro.harness import run_program
 from repro.harness.results import program_result_to_dict
-from repro.machine import ClusteredVLIW, RawMachine
+from repro.ir import DataDependenceGraph, Opcode
+from repro.ir.instruction import Instruction
+from repro.ir.regions import Region
+from repro.machine import ClusteredVLIW, RawMachine, machine_from_spec
+from repro.schedulers.schedule import CommEvent, Schedule, ScheduledOp
+from repro.verify import verify_schedule
 from repro.verify.sweep import scheduler_registry
 from repro.workloads import build_benchmark, suite_for_machine
 
@@ -560,3 +570,200 @@ class TestMapFanOutEquivalence:
         assert outcomes(pooled) == outcomes(inline)
         assert len(inline_ledger) == 12
         assert rows(pooled_ledger) == rows(inline_ledger)
+
+
+# ----------------------------------------------------------------------
+# Decoded cache entries
+# ----------------------------------------------------------------------
+
+#: A disk entry written by the JSON-text memory layer the decoded one
+#: replaced, under the key of :func:`_golden_entry_request`.  The current
+#: code must write the same bytes and serve them as a hit.
+GOLDEN_ENTRY = Path(__file__).parent / "data" / "schedule_cache_entry.json"
+GOLDEN_ENTRY_KEY = "81204cbbc94f835677ce1d108174cf586e93a286954f52ba8845de41d3a7562a"
+
+
+def _golden_entry_request():
+    """The 4-instruction raw2x2 region the golden entry is keyed on, and
+    its fingerprint under a default convergent scheduler."""
+    ddg = DataDependenceGraph(name="golden_entry")
+    a = ddg.new_instruction(Opcode.LI, immediate=2.5)
+    b = ddg.new_instruction(Opcode.LI, immediate=3)
+    c = ddg.new_instruction(Opcode.FMUL, [a.uid, b.uid])
+    ddg.new_instruction(Opcode.STORE, [c.uid], bank=1)
+    region = Region("golden_entry", ddg)
+    return region, schedule_key(region, machine_from_spec("raw2x2"), make_scheduler("convergent"))
+
+
+def _golden_entry_schedule():
+    """The hand-built schedule stored in the golden entry."""
+    schedule = Schedule(
+        region_name="golden_entry", machine_name="raw2x2", scheduler_name="convergent"
+    )
+    schedule.add_op(ScheduledOp(uid=0, cluster=0, unit=0, start=0, latency=1))
+    schedule.add_op(ScheduledOp(uid=1, cluster=1, unit=0, start=0, latency=1))
+    schedule.add_op(ScheduledOp(uid=2, cluster=0, unit=1, start=3, latency=4))
+    schedule.add_op(ScheduledOp(uid=3, cluster=0, unit=2, start=7, latency=1))
+    schedule.add_comm(CommEvent(
+        producer_uid=1, src=1, dst=0, issue=1, arrival=3,
+        resources=(("switch", 1, 0), ("switch", 0, 0)),
+    ))
+    return schedule
+
+
+def _put_golden(cache, fingerprint):
+    cache.put(
+        fingerprint, _golden_entry_schedule(), cycles=9, transfers=1,
+        utilization=0.375, comm_busy=2, compile_seconds=0.125,
+        verified=True, diagnostics=["V203 example"],
+    )
+
+
+def _flat(schedule):
+    """A schedule's ops and comms as sorted plain tuples."""
+    ops = sorted(
+        (op.uid, op.cluster, op.unit, op.start, op.latency)
+        for op in schedule.ops.values()
+    )
+    comms = sorted(
+        (ev.producer_uid, ev.src, ev.dst, ev.issue, ev.arrival, tuple(ev.resources))
+        for ev in schedule.comms
+    )
+    return ops, comms
+
+
+def _relabelled(region):
+    """An isomorphic copy of ``region`` with its uids reversed, plus
+    ``new_uid_of[old_uid]``; every adjacency list keeps its order."""
+    ddg = region.ddg
+    order = list(reversed(range(len(ddg))))
+    new_of = {old: new for new, old in enumerate(order)}
+    copy_ddg = DataDependenceGraph(name=ddg.name)
+    for new, old in enumerate(order):
+        inst = ddg.instruction(old)
+        copy_ddg.add_instruction(Instruction(
+            uid=new, opcode=inst.opcode,
+            operands=tuple(new_of[op] for op in inst.operands),
+            home_cluster=inst.home_cluster, name=inst.name,
+            bank=inst.bank, immediate=inst.immediate,
+        ))
+    for old in order:
+        for edge in ddg.successors(old):
+            copy_ddg.add_dependence(
+                new_of[edge.src], new_of[edge.dst],
+                latency=edge.latency, kind=edge.kind,
+            )
+    return Region(region.name, copy_ddg), new_of
+
+
+class TestDecodedCacheEntries:
+    """The memory layer keeps decoded entries; hits are rebuilt fresh."""
+
+    def test_hit_under_relabelled_permutation(self):
+        machine = MACHINES["vliw4"]
+        # yuv's hashes tell every node apart, so the canonical order, and
+        # with it the key, does not depend on the uid labelling.
+        region = build_benchmark("yuv", machine).regions[0]
+        scheduler = make_scheduler("uas")
+        stored = scheduler.schedule(region, machine)
+        fingerprint = schedule_key(region, machine, scheduler)
+        cache = ScheduleCache()
+        cache.put(
+            fingerprint, stored, cycles=5, transfers=2, utilization=0.25,
+            comm_busy=3, compile_seconds=0.5,
+        )
+        other, new_of = _relabelled(region)
+        assert any(new != old for old, new in new_of.items())
+        requested = schedule_key(other, machine, scheduler)
+        assert requested.key == fingerprint.key
+        hit = cache.get(requested, other)
+        assert hit is not None
+        # Position p of the stored graph is position p of the requester's.
+        uid_of = requested.uid_of_position()
+        moved = Schedule(region_name=other.name, machine_name=stored.machine_name)
+        for op in stored.ops.values():
+            uid = uid_of[fingerprint.permutation[op.uid]]
+            moved.add_op(ScheduledOp(uid, op.cluster, op.unit, op.start, op.latency))
+        for ev in stored.comms:
+            moved.add_comm(CommEvent(
+                uid_of[fingerprint.permutation[ev.producer_uid]],
+                ev.src, ev.dst, ev.issue, ev.arrival, ev.resources,
+            ))
+        assert _flat(hit.schedule) == _flat(moved)
+        assert verify_schedule(other, machine, hit.schedule).ok
+        assert (hit.cycles, hit.transfers, hit.comm_busy) == (5, 2, 3)
+        assert (hit.utilization, hit.compile_seconds) == (0.25, 0.5)
+
+    def test_mutating_a_hit_never_reaches_a_later_hit(self):
+        region, fingerprint = _golden_entry_request()
+        cache = ScheduleCache()
+        _put_golden(cache, fingerprint)
+        first = cache.get(fingerprint, region)
+        pristine = _flat(first.schedule)
+        assert pristine == _flat(_golden_entry_schedule())
+        first.schedule.ops.clear()
+        first.schedule.ops[99] = ScheduledOp(99, 0, 0, 0, 1)
+        first.schedule.comms.clear()
+        first.schedule.machine_name = "vandalized"
+        first.diagnostics.append("vandalized")
+        second = cache.get(fingerprint, region)
+        assert _flat(second.schedule) == pristine
+        assert second.schedule.machine_name == "raw2x2"
+        assert second.diagnostics == ["V203 example"]
+        assert second.schedule is not first.schedule
+
+    def test_golden_disk_entry_is_written_byte_identically(self, tmp_path):
+        _, fingerprint = _golden_entry_request()
+        assert fingerprint.key == GOLDEN_ENTRY_KEY
+        _put_golden(ScheduleCache(disk_dir=tmp_path), fingerprint)
+        written = tmp_path / f"{GOLDEN_ENTRY_KEY}.json"
+        assert written.read_text() == GOLDEN_ENTRY.read_text()
+
+    def test_golden_disk_entry_is_served_as_a_hit(self, tmp_path):
+        shutil.copy(GOLDEN_ENTRY, tmp_path / f"{GOLDEN_ENTRY_KEY}.json")
+        region, fingerprint = _golden_entry_request()
+        cache = ScheduleCache(disk_dir=tmp_path)
+        for _ in range(2):  # from disk, then from the memory layer
+            hit = cache.get(fingerprint, region)
+            assert hit is not None
+            assert _flat(hit.schedule) == _flat(_golden_entry_schedule())
+            assert hit.schedule.region_name == "golden_entry"
+            assert hit.schedule.scheduler_name == "convergent"
+            assert (hit.cycles, hit.transfers, hit.comm_busy) == (9, 1, 2)
+            assert (hit.utilization, hit.compile_seconds) == (0.375, 0.125)
+            assert (hit.verified, hit.diagnostics) == (True, ["V203 example"])
+        assert cache.stats.to_dict() == {
+            "hits": 2, "misses": 0, "stores": 0, "evictions": 0,
+            "corrupt": 0, "quarantined": 0,
+        }
+
+    @staticmethod
+    def _malformed_entry_file(tmp_path):
+        """The golden file with a 4-field op row, checksum still valid."""
+        wrapper = json.loads(GOLDEN_ENTRY.read_text())
+        entry = json.loads(wrapper["payload"])
+        entry["schedule"]["ops"][0] = entry["schedule"]["ops"][0][:4]
+        wrapper["payload"] = json.dumps(entry, sort_keys=True)
+        wrapper["sha256"] = hashlib.sha256(wrapper["payload"].encode()).hexdigest()
+        victim = tmp_path / f"{GOLDEN_ENTRY_KEY}.json"
+        victim.write_text(json.dumps(wrapper, sort_keys=True))
+        return victim
+
+    def test_malformed_entry_is_quarantined(self, tmp_path):
+        """A checksum-valid file whose entry does not decode is corrupt."""
+        victim = self._malformed_entry_file(tmp_path)
+        region, fingerprint = _golden_entry_request()
+        cache = ScheduleCache(disk_dir=tmp_path)
+        assert cache.get(fingerprint, region) is None
+        assert (cache.stats.corrupt, cache.stats.quarantined, cache.stats.misses) == (1, 1, 1)
+        assert not victim.exists()
+        assert (tmp_path / "quarantine" / victim.name).exists()
+        assert len(cache) == 0
+
+    def test_verify_disk_flags_what_get_would_quarantine(self, tmp_path):
+        victim = self._malformed_entry_file(tmp_path)
+        report = ScheduleCache(disk_dir=tmp_path).verify_disk()
+        assert (report["checked"], report["ok"], report["corrupt"]) == (1, 0, 1)
+        assert not victim.exists()
+        shutil.copy(GOLDEN_ENTRY, victim)
+        assert ScheduleCache(disk_dir=tmp_path).verify_disk()["ok"] == 1

@@ -12,21 +12,32 @@ text is part of the cache's on-disk format.  Two checks hold it still:
   sort_keys=True, default=str)`` per digested payload, the DDG section
   built as a dict), kept here as the reference the fragment-spliced text
   of :mod:`repro.engine.fingerprint` must reproduce exactly on random
-  graphs.
+  graphs;
+* **the canonical-form memo** — memoized forms equal fresh ones and the
+  oracle, for the graph as it is at each call: after in-place edits, in
+  either adjacency order, with numpy scalar attributes, from 4 threads.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
+import repro.engine.fingerprint as fp_mod
 from repro import ConvergentScheduler
 from repro.engine import FINGERPRINT_SCHEMA_VERSION
 from repro.engine.fingerprint import (
+    CANONICAL_MEMO_CAPACITY,
+    _digest_text,
     canonical_form,
+    content_digest,
     canonical_permutation,
     ddg_fingerprint,
     machine_payload,
@@ -35,6 +46,7 @@ from repro.engine.fingerprint import (
     scheduler_payload,
 )
 from repro.ir import DataDependenceGraph, Opcode
+from repro.ir.instruction import Instruction
 from repro.ir.regions import Region
 from repro.machine import ClusteredVLIW, RawMachine, machine_from_spec
 from repro.schedulers import UnifiedAssignAndSchedule
@@ -339,3 +351,121 @@ class TestAgainstOracle:
         after = schedule_key(region, machine, scheduler).key
         assert after != before
         assert after == oracle_schedule_key(region, machine, scheduler)
+
+
+# ----------------------------------------------------------------------
+# The canonical-form memo
+# ----------------------------------------------------------------------
+
+
+def _fresh(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
+    """The canonical form computed without the memo."""
+    return fp_mod._canonical_form(ddg)
+
+
+def _two_sources(first: Tuple[int, Any], second: Tuple[int, Any]) -> DataDependenceGraph:
+    """Two identical LIs feeding one ADD through explicit edges, added in
+    the given ``(src, latency)`` order."""
+    ddg = DataDependenceGraph()
+    for uid in range(3):
+        ddg.add_instruction(Instruction(uid=uid, opcode=Opcode.LI if uid < 2 else Opcode.ADD))
+    for src, latency in (first, second):
+        ddg.add_dependence(src, 2, latency=latency)
+    return ddg
+
+
+class TestCanonicalMemo:
+    """Memoized canonical forms are the fresh ones, for the graph as it is now."""
+
+    @given(random_regions())
+    @settings(max_examples=60, deadline=None)
+    def test_memoized_equals_oracle_and_hits(self, region):
+        form = canonical_form(region.ddg)
+        assert form == _fresh(region.ddg)
+        assert form[0] == oracle_permutation(region.ddg)
+        assert _digest_text(form[1]) == oracle_ddg_fingerprint(region.ddg)
+        assert canonical_form(region.ddg) is form  # served from the memo
+
+    def test_in_place_edits_get_the_fresh_key(self):
+        region, machine = _suite_region("vliw4", "fir")
+        ddg = region.ddg
+        ddg.new_instruction(Opcode.LI, immediate=2)
+        seen = {schedule_key(region, machine, ConvergentScheduler()).key}
+
+        def assert_fresh():
+            fp = schedule_key(region, machine, ConvergentScheduler())
+            assert fp.key == oracle_schedule_key(region, machine, ConvergentScheduler())
+            assert canonical_form(ddg) == _fresh(ddg)
+            assert fp.key not in seen
+            seen.add(fp.key)
+
+        ddg.instruction(3).home_cluster = 2
+        assert_fresh()
+        ddg.instruction(len(ddg) - 1).immediate = 2.0
+        assert_fresh()
+        edge = ddg.successors(0)[0]
+        rebuilt = dataclasses.replace(edge, latency=edge.latency + 1)
+        for adjacency in (ddg._succ[edge.src], ddg._pred[edge.dst]):
+            adjacency[adjacency.index(edge)] = rebuilt
+        assert_fresh()
+
+    def test_adjacency_order_is_part_of_the_key(self):
+        """Latencies ``1`` and ``1.0`` tie in the stable edge sort, so the
+        order the edges were added in decides the text."""
+        one_first = _two_sources((0, 1), (1, 1.0))
+        float_first = _two_sources((1, 1.0), (0, 1))
+        assert sorted(map(repr, one_first.edges())) == sorted(map(repr, float_first.edges()))
+        for ddg in (one_first, float_first):
+            assert canonical_form(ddg) == _fresh(ddg)
+            assert canonical_permutation(ddg) == oracle_permutation(ddg)
+            assert ddg_fingerprint(ddg) == oracle_ddg_fingerprint(ddg)
+        assert canonical_form(one_first)[1] != canonical_form(float_first)[1]
+
+    def test_numpy_scalar_types_keep_distinct_keys(self):
+        graphs = []
+        for home in (np.int64(0), np.float64(0.0)):
+            ddg = DataDependenceGraph()
+            ddg.new_instruction(Opcode.LOAD, home_cluster=home, bank=0)
+            ddg.new_instruction(Opcode.ADD, [0])
+            graphs.append(ddg)
+        assert content_digest(np.int64(0)) != content_digest(np.float64(0.0))
+        assert fp_mod._canonical_key(graphs[0]) != fp_mod._canonical_key(graphs[1])
+        for ddg in graphs:
+            assert canonical_form(ddg) == _fresh(ddg)
+        assert canonical_form(graphs[0])[1] != canonical_form(graphs[1])[1]
+
+    def test_unpicklable_content_is_computed_fresh(self):
+        ddg = DataDependenceGraph()
+        ddg.new_instruction(Opcode.LI, immediate=lambda: 0)
+        assert content_digest(ddg.instruction(0).immediate) is None
+        assert fp_mod._canonical_key(ddg) is None
+        assert canonical_form(ddg) == _fresh(ddg)
+
+    def test_memo_never_exceeds_its_capacity(self):
+        memo = fp_mod._CANONICAL_MEMO
+        assert memo.capacity == CANONICAL_MEMO_CAPACITY
+        for immediate in range(CANONICAL_MEMO_CAPACITY + 16):
+            ddg = DataDependenceGraph()
+            ddg.new_instruction(Opcode.LI, immediate=immediate)
+            canonical_form(ddg)
+            assert len(memo) <= CANONICAL_MEMO_CAPACITY
+        assert len(memo) == CANONICAL_MEMO_CAPACITY
+
+    def test_threads_get_identical_keys(self):
+        fp_mod._CANONICAL_MEMO.clear()
+        cases = [(_suite_region(spec, name), key) for spec, name, key, _ in GOLDEN_KEYS]
+
+        def keys(start):
+            order = cases[start:] + cases[:start]
+            found = {key: schedule_key(region, machine, ConvergentScheduler()).key
+                     for (region, machine), key in order}
+            return [found[key] for _, key in cases]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                results = list(pool.map(keys, range(4), timeout=300))
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == [[key for _, key in cases]] * 4

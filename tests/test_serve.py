@@ -41,7 +41,7 @@ import repro.serve.server as server_mod
 import repro.serve.wire as wire_mod
 from repro.core.convergent import ConvergentScheduler
 from repro.engine import schedule_key
-from repro.engine.fingerprint import ddg_fingerprint
+from repro.engine.fingerprint import canonical_form, content_digest, ddg_fingerprint
 from repro.faults.chaos import RaisingPass
 from repro.harness.experiment import run_program
 from repro.harness.results import program_result_to_dict
@@ -638,6 +638,18 @@ class TestRegionMemo:
         after = _keys(parsed)
         assert after[1] != before[1]
         assert (after[0], after[2]) == (before[0], before[2])
+
+    def test_region_memo_shares_canonical_memo_forms(self):
+        """The memo is keyed by each decoded document's content digest and
+        holds the canonical memo's own forms, not copies."""
+        data = _decoded(_joined([p for _, p in _suite("vliw4")[:2]]), "vliw4")
+        memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        parse_request(data, self.REGISTRY, memo)
+        assert len(memo) == 2
+        for region_data in data["program"]["regions"]:
+            form = memo.get(content_digest(region_data))
+            assert form is not None
+            assert form.canonical is canonical_form(form.region.ddg)
 
     def test_shape_limits_hold_when_every_region_hits(self, monkeypatch):
         program = _joined([p for _, p in _suite("vliw4")[:3]])
