@@ -14,8 +14,10 @@ Two layers:
 
 * **memory** — a bounded LRU of decoded, immutable entries: the result
   numbers plus the canonical schedule as tuples of ints, coerced once
-  when stored or read from disk.  Every hit builds a *fresh*
-  :class:`~repro.schedulers.schedule.Schedule` from the entry, so
+  when stored or read from disk.  A hit returns the numbers and a
+  :class:`ScheduleReplay`; its *fresh*
+  :class:`~repro.schedulers.schedule.Schedule` is built from the entry
+  only when a caller reads it, so a hit nobody reads builds nothing and
   mutating a returned schedule can never corrupt the cached copy;
 * **disk** (optional) — one ``<key>.json`` per entry under a cache
   directory, written atomically (temp file + rename) so concurrent
@@ -95,12 +97,14 @@ class CacheSpec:
 
 @dataclass
 class CacheHit:
-    """A successful lookup, rebuilt in the requester's coordinates.
+    """A successful lookup: the recorded numbers, and a schedule on demand.
+
+    :attr:`schedule` is built from :attr:`replay` on first access and
+    kept; a hit nobody reads builds no schedule.
 
     Attributes:
-        schedule: A fresh :class:`Schedule` (never aliased with the
-            stored copy) with uids translated into the requesting
-            region's labelling.
+        replay: What the schedule is built from (see
+            :class:`ScheduleReplay`).
         cycles: Simulator cycle count recorded when the entry was
             stored.
         transfers: Recorded transfer count.
@@ -113,7 +117,7 @@ class CacheHit:
         diagnostics: Rendered verifier diagnostics from store time.
     """
 
-    schedule: Schedule
+    replay: "ScheduleReplay"
     cycles: int
     transfers: int
     utilization: float
@@ -121,6 +125,18 @@ class CacheHit:
     compile_seconds: float
     verified: Optional[bool] = None
     diagnostics: List[str] = field(default_factory=list)
+    _schedule: Optional[Schedule] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    @property
+    def schedule(self) -> Schedule:
+        """A fresh :class:`Schedule` (never aliased with the stored copy
+        or another hit's) with uids translated into the requesting
+        region's labelling; built on first access."""
+        if self._schedule is None:
+            self._schedule = self.replay.build()
+        return self._schedule
 
 
 @dataclass
@@ -183,11 +199,18 @@ CommRow = Tuple[int, int, int, int, int, Tuple[Tuple[str, int, int], ...]]
 class _Entry:
     """One stored outcome, decoded once and never mutated.
 
-    The memory layer holds these; every hit builds a fresh
-    :class:`Schedule` from one.  The schedule is kept in canonical
-    coordinates as sorted rows of ints (see :data:`OpRow`,
-    :data:`CommRow`), so a hit translates positions through the
+    The memory layer holds these; a hit's :class:`ScheduleReplay` builds
+    a fresh :class:`Schedule` from one when read.  The schedule is kept
+    in canonical coordinates as sorted rows of ints (see :data:`OpRow`,
+    :data:`CommRow`), so a build translates positions through the
     requester's permutation and coerces nothing.
+
+    Two values are derived from the rows once, on construction, so
+    :meth:`fits` can tell whether a requester's graph can hold the
+    schedule without building it: :attr:`position_end`, one past the
+    largest op or comm position (0 with no rows), and
+    :attr:`positions_sound`, true when no position is negative and no
+    op position repeats.
     """
 
     cycles: int
@@ -201,6 +224,29 @@ class _Entry:
     machine_name: str
     ops: Tuple[OpRow, ...]
     comms: Tuple[CommRow, ...]
+    position_end: int = field(init=False, repr=False, compare=False)
+    positions_sound: bool = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        op_positions = [row[0] for row in self.ops]
+        positions = op_positions + [row[0] for row in self.comms]
+        object.__setattr__(self, "position_end", max(positions, default=-1) + 1)
+        object.__setattr__(
+            self,
+            "positions_sound",
+            min(positions, default=0) >= 0
+            and len(set(op_positions)) == len(op_positions),
+        )
+
+    def fits(self, fingerprint: Fingerprint) -> bool:
+        """Whether the schedule fits the graph ``fingerprint`` keys.
+
+        False when a position falls outside the graph's ``n``
+        instructions, is negative, or places one op twice — an entry
+        stored under a colliding key, which the build would reject or
+        (negative positions) silently wrap.
+        """
+        return self.positions_sound and self.position_end <= len(fingerprint.permutation)
 
     def text(self, key: str) -> str:
         """The entry's JSON payload, as the disk layer stores it."""
@@ -266,12 +312,12 @@ def _decode_entry(text: str) -> _Entry:
 
 
 def _schedule_from_entry(
-    entry: _Entry, fingerprint: Fingerprint, region: Region
+    entry: _Entry, fingerprint: Fingerprint, region_name: str
 ) -> Schedule:
     """Rebuild a schedule in the requesting region's uid space."""
     uid_of = fingerprint.uid_of_position()
     schedule = Schedule(
-        region_name=region.name,
+        region_name=region_name,
         machine_name=entry.machine_name,
         scheduler_name=entry.scheduler_name,
     )
@@ -285,6 +331,30 @@ def _schedule_from_entry(
     for event in comms:
         schedule.add_comm(event)
     return schedule
+
+
+@dataclass(frozen=True)
+class ScheduleReplay:
+    """What one hit's schedule is built from, and the one way to build it.
+
+    Holds the decoded entry, the requester's fingerprint (for its
+    permutation) and the region's name — never the region itself, so an
+    outcome that carries a replay across a process boundary pickles the
+    entry's rows, not the region's graph.
+
+    Attributes:
+        entry: The decoded cache entry (immutable).
+        fingerprint: The requester's key and canonical permutation.
+        region_name: Name the built schedule is labelled with.
+    """
+
+    entry: _Entry
+    fingerprint: Fingerprint
+    region_name: str
+
+    def build(self) -> Schedule:
+        """A fresh schedule in the requester's uid space."""
+        return _schedule_from_entry(self.entry, self.fingerprint, self.region_name)
 
 
 class ScheduleCache:
@@ -336,13 +406,19 @@ class ScheduleCache:
     # ------------------------------------------------------------------
 
     def get(self, fingerprint: Fingerprint, region: Region) -> Optional[CacheHit]:
-        """Look up a request; rebuild the hit in ``region``'s uid space.
+        """Look up a request; return its numbers and a schedule replay.
+
+        No schedule is built here: the hit's schedule is built in
+        ``region``'s uid space when first read.  An entry whose
+        positions do not fit the requester's graph (see
+        :meth:`_Entry.fits`) is refused as it would be by a build: a
+        miss, counted ``corrupt`` and quarantined on disk.
 
         Args:
             fingerprint: The request key (see :func:`~repro.engine.
                 fingerprint.schedule_key`).
-            region: The requesting region — supplies the uid labelling
-                the returned schedule is translated into.
+            region: The requesting region — names the schedule; the
+                fingerprint's permutation supplies its uid labelling.
 
         Returns:
             A fresh :class:`CacheHit`, or ``None`` on a miss.
@@ -358,9 +434,7 @@ class ScheduleCache:
             if entry is None:
                 self.stats.misses += 1
                 return None
-            try:
-                schedule = _schedule_from_entry(entry, fingerprint, region)
-            except (IndexError, ValueError):
+            if not entry.fits(fingerprint):
                 # Positions that do not fit the requester's graph (an
                 # entry stored under a colliding key) are a miss —
                 # counted, quarantined on disk, never raised into a compile.
@@ -372,7 +446,7 @@ class ScheduleCache:
                 return None
             self.stats.hits += 1
         return CacheHit(
-            schedule=schedule,
+            replay=ScheduleReplay(entry, fingerprint, region.name),
             cycles=entry.cycles,
             transfers=entry.transfers,
             utilization=entry.utilization,

@@ -38,7 +38,8 @@ a plain ``json.dumps`` oracle; a change to either requires bumping
 Steps 1–3 run once per distinct graph content: :func:`canonical_form`
 memoizes its result under a :func:`content_digest` of everything it
 reads, recomputed on every call, so a graph seen before costs one digest
-and a graph changed since is canonicalized afresh.
+and a graph changed since is canonicalized afresh.  The machine section
+is memoized the same way (:func:`machine_payload_text`).
 
 :data:`FINGERPRINT_FIELDS` is the audited schema: every field consumed
 by the fingerprint, grouped by component.  ``scripts/
@@ -307,9 +308,9 @@ def canonical_form(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
     text of a graph that has since changed — a wrong cache hit.  The key
     (:func:`_canonical_key`) is a digest of everything the computation
     reads, recomputed on every call, so a graph edited in place gets its
-    fresh text.  (The machine and scheduler payloads are rebuilt on
-    every call for the same reason, unless the caller hands over text
-    memoized on immutable inputs, such as :func:`machine_spec_text`.)
+    fresh text.  (The machine payload text has a content memo of its
+    own, :func:`machine_payload_text`; the scheduler payload is rebuilt
+    on every call.)
     """
     key = _canonical_key(ddg)
     form = None if key is None else _CANONICAL_MEMO.get(key)
@@ -476,6 +477,40 @@ def machine_spec_text(spec: str) -> str:
     return _encode(machine_payload(machine_from_spec(spec)))
 
 
+#: Machine payload texts kept by :func:`machine_payload_text`'s content
+#: memo.  A process sees a handful of machines; raw4x4's text is ~21 KB.
+MACHINE_MEMO_CAPACITY = 64
+
+_MACHINE_MEMO = BoundedLRU(MACHINE_MEMO_CAPACITY)
+
+
+def machine_payload_text(machine: Machine) -> str:
+    """The encoded :func:`machine_payload` of ``machine``, memoized by content.
+
+    The memo key is the :func:`content_digest` of the machine's pickled
+    state plus the two class-level memory fields the payload reads
+    (``memory_affinity``, ``remote_mem_penalty``), recomputed on every
+    call, so a machine changed in place — a bumped latency — gets fresh
+    text, and equal machines share one entry.  A machine pickle cannot
+    encode is encoded afresh every time.
+
+    Args:
+        machine: The machine model to serialize.
+
+    Returns:
+        The payload's JSON text, as :func:`schedule_key` embeds it.
+    """
+    key = content_digest(
+        (machine, machine.memory_affinity, machine.remote_mem_penalty)
+    )
+    text = None if key is None else _MACHINE_MEMO.get(key)
+    if text is None:
+        text = _encode(machine_payload(machine))
+        if key is not None:
+            _MACHINE_MEMO[key] = text
+    return text
+
+
 def machine_fingerprint(machine: Machine) -> str:
     """Digest of :func:`machine_payload`."""
     return _digest(machine_payload(machine))
@@ -601,7 +636,7 @@ def schedule_key(
             this graph, unchanged since; ``None`` computes it now.
         machine_text: The encoded ``machine_payload(machine)``, e.g.
             :func:`machine_spec_text` of the spec ``machine`` was built
-            from; ``None`` encodes it now.
+            from; ``None`` takes it from :func:`machine_payload_text`.
 
     Returns:
         The :class:`Fingerprint` (key + canonical permutation).
@@ -609,7 +644,7 @@ def schedule_key(
     if canonical is None:
         canonical = canonical_form(region.ddg)
     if machine_text is None:
-        machine_text = _encode(machine_payload(machine))
+        machine_text = machine_payload_text(machine)
     permutation, ddg_text = canonical
     members = {
         "schema_version": _encode(FINGERPRINT_SCHEMA_VERSION),

@@ -1,9 +1,9 @@
 """A bounded, thread-safe least-recently-used map.
 
-The content-addressed memos share it: the canonical-form memo of
-:mod:`repro.engine.fingerprint` and the compile server's parse, region
-and response caches.  Each is keyed by a digest of content, so an entry
-never needs invalidating — only evicting.
+The content-addressed memos share it: the canonical-form and
+machine-text memos of :mod:`repro.engine.fingerprint` and the compile
+server's parse, region and response caches.  Each is keyed by a digest
+of content, so an entry never needs invalidating — only evicting.
 """
 
 from __future__ import annotations

@@ -34,7 +34,9 @@ from collections import deque
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import multiprocessing
 
@@ -51,7 +53,7 @@ from ..observability.metrics import MetricsRegistry
 from ..observability.tracer import Tracer, tracing, uninstall
 from ..schedulers.base import Scheduler
 from ..schedulers.schedule import Schedule
-from .cache import CacheSpec, ScheduleCache
+from .cache import CacheSpec, ScheduleCache, ScheduleReplay
 from .fingerprint import Fingerprint, schedule_key
 from .resilience import (
     BreakerBoard,
@@ -132,8 +134,11 @@ class TaskOutcome:
         result: The region outcome (cycles always simulator-verified,
             whether scheduled fresh or served from cache).
         schedule: The verified schedule (``None`` when the region
-            failed); on a cache hit this is a fresh copy rebuilt in the
-            requesting region's uid space.
+            failed).  On a cache hit it is a fresh copy rebuilt in the
+            requesting region's uid space on first access (a property
+            over the hit's :class:`~repro.engine.cache.ScheduleReplay`):
+            an outcome nobody reads builds none, and one pickled before
+            it is read carries the replay, never the region.
         metrics: Private-registry snapshot when the task collected
             metrics, else ``None``.
         trace_records: Serialized tracer records when the task traced,
@@ -159,7 +164,6 @@ class TaskOutcome:
 
     index: int
     result: RegionResult
-    schedule: Optional[Schedule] = None
     metrics: Optional[Dict[str, Dict]] = None
     trace_records: List[Dict[str, Any]] = field(default_factory=list)
     cache_status: str = CACHE_OFF
@@ -171,6 +175,18 @@ class TaskOutcome:
     fingerprint: Optional[str] = None
     started_s: float = 0.0
     finished_s: float = 0.0
+    _schedule: Union[Schedule, ScheduleReplay, None] = field(default=None, repr=False)
+
+    @property
+    def schedule(self) -> Optional[Schedule]:
+        """The verified schedule; a hit's is built here on first access."""
+        if isinstance(self._schedule, ScheduleReplay):
+            self._schedule = self._schedule.build()
+        return self._schedule
+
+    @schedule.setter
+    def schedule(self, value: Optional[Schedule]) -> None:
+        self._schedule = value
 
 
 def execute_task(
@@ -237,7 +253,7 @@ def execute_task(
             hit = cache.get(cache_key, task.region)
             if hit is not None:
                 outcome.cache_status = CACHE_HIT
-                outcome.schedule = hit.schedule
+                outcome._schedule = hit.replay
                 outcome.result = RegionResult(
                     region_name=task.region.name,
                     cycles=hit.cycles,

@@ -13,17 +13,23 @@ from __future__ import annotations
 
 import copy
 import hashlib
+import io
 import json
+import os
+import pickle
 import shutil
 from pathlib import Path
 
 import pytest
 
+import repro.engine.cache as cache_module
 from repro.engine import (
     CACHE_HIT,
     CompilationEngine,
+    Fingerprint,
     RegionTask,
     ScheduleCache,
+    execute_task,
     schedule_key,
 )
 from repro.harness import run_program
@@ -767,3 +773,212 @@ class TestDecodedCacheEntries:
         assert not victim.exists()
         shutil.copy(GOLDEN_ENTRY, victim)
         assert ScheduleCache(disk_dir=tmp_path).verify_disk()["ok"] == 1
+
+
+# ----------------------------------------------------------------------
+# Lazy cache hits
+# ----------------------------------------------------------------------
+
+
+def _eager_schedule(entry, fingerprint, region):
+    """The schedule a hit used to build inside ``ScheduleCache.get``,
+    kept as the reference a hit's on-demand schedule must equal."""
+    uid_of = fingerprint.uid_of_position()
+    schedule = Schedule(
+        region_name=region.name,
+        machine_name=entry.machine_name,
+        scheduler_name=entry.scheduler_name,
+    )
+    for position, cluster, unit, start, latency in entry.ops:
+        schedule.add_op(ScheduledOp(uid_of[position], cluster, unit, start, latency))
+    comms = [
+        CommEvent(uid_of[position], src, dst, issue, arrival, resources)
+        for position, src, dst, issue, arrival, resources in entry.comms
+    ]
+    comms.sort(key=lambda ev: (ev.issue, ev.producer_uid, ev.dst))
+    for event in comms:
+        schedule.add_comm(event)
+    return schedule
+
+
+def _warm_task(region, machine, scheduler_name="convergent"):
+    return RegionTask(
+        index=0, region=region, machine=machine,
+        scheduler=make_scheduler(scheduler_name), check_values=False,
+    )
+
+
+class _RecordingUnpickler(pickle.Unpickler):
+    """Unpickles while recording every ``(module, name)`` it imports."""
+
+    def __init__(self, data):
+        super().__init__(io.BytesIO(data))
+        self.found = []
+
+    def find_class(self, module, name):
+        self.found.append((module, name))
+        return super().find_class(module, name)
+
+
+class TestLazyCacheHits:
+    """A hit carries its numbers; its schedule is built only when read."""
+
+    @pytest.mark.parametrize("machine_key", sorted(MACHINES))
+    def test_hit_schedule_equals_the_eager_rebuild(self, machine_key):
+        _, cache = serial_ground_truth("uas", machine_key)
+        machine = MACHINES[machine_key]
+        hits = relabelled_hits = 0
+        for benchmark in suite_for(machine_key):
+            for region in build_benchmark(benchmark, machine).regions:
+                other, _ = _relabelled(region)
+                for requester in (region, other):
+                    fingerprint = schedule_key(
+                        requester, machine, make_scheduler("uas"), check_values=False
+                    )
+                    if fingerprint.key not in cache._memory:
+                        continue  # failed cold, or a relabelling that keys apart
+                    entry = cache._memory[fingerprint.key]
+                    hit = cache.get(fingerprint, requester)
+                    assert hit.schedule == _eager_schedule(entry, fingerprint, requester), (
+                        f"{machine_key}/{benchmark}/{region.name}"
+                    )
+                    hits += 1
+                    relabelled_hits += requester is other
+        assert hits > relabelled_hits > 0
+
+    def test_two_hits_never_share_a_schedule(self):
+        region, fingerprint = _golden_entry_request()
+        cache = ScheduleCache()
+        _put_golden(cache, fingerprint)
+        first = cache.get(fingerprint, region)
+        second = cache.get(fingerprint, region)  # fetched, not yet read
+        schedule = first.schedule
+        assert first.schedule is schedule  # built once
+        pristine = _flat(schedule)
+        schedule.ops.clear()
+        schedule.comms.append(None)
+        schedule.region_name = "vandalized"
+        assert second.schedule is not schedule
+        assert second.schedule.ops is not schedule.ops
+        assert _flat(second.schedule) == pristine
+        third = cache.get(fingerprint, region)
+        assert _flat(third.schedule) == pristine
+        assert third.schedule.region_name == "golden_entry"
+
+    def test_two_hit_outcomes_never_share_a_schedule(self):
+        machine = MACHINES["vliw4"]
+        region = build_benchmark("vvmul", machine).regions[0]
+        cache = ScheduleCache()
+        with CompilationEngine(jobs=1, cache=cache) as engine:
+            cold = engine.run_tasks([_warm_task(region, machine)])[0]
+            first, second = (engine.run_tasks([_warm_task(region, machine)])[0]
+                             for _ in range(2))
+        assert first.cache_status == second.cache_status == CACHE_HIT
+        pristine = _flat(cold.schedule)
+        first.schedule.ops.clear()
+        assert second.schedule is not first.schedule
+        assert _flat(second.schedule) == pristine
+
+    def test_an_unread_hit_builds_no_scheduled_op(self, monkeypatch):
+        machine = MACHINES["vliw4"]
+        program = build_benchmark("fir", machine)
+        cache = ScheduleCache()
+        cold = run_program(program, machine, make_scheduler("convergent"),
+                           check_values=False, cache=cache)
+        built = []
+
+        def counting(*args):
+            built.append(args)
+            return ScheduledOp(*args)
+
+        monkeypatch.setattr(cache_module, "ScheduledOp", counting)
+        warm = run_program(program, machine, make_scheduler("convergent"),
+                           check_values=False, cache=cache)
+        assert scrubbed(warm) == scrubbed(cold)
+        assert cache.stats.hits == len(program.regions)
+        tasks = [_warm_task(region, machine) for region in program.regions]
+        with CompilationEngine(jobs=1, cache=cache) as engine:
+            outcomes = engine.run_tasks(tasks)
+        assert all(o.cache_status == CACHE_HIT for o in outcomes)
+        assert built == []
+        n_ops = sum(len(o.schedule.ops) for o in outcomes)
+        assert len(built) == n_ops > 0
+
+    @staticmethod
+    def _bad_entry_file(tmp_path, edit):
+        """The golden file with its rows edited by ``edit``, checksum valid."""
+        wrapper = json.loads(GOLDEN_ENTRY.read_text())
+        entry = json.loads(wrapper["payload"])
+        edit(entry["schedule"]["ops"], entry["schedule"]["comms"])
+        wrapper["payload"] = json.dumps(entry, sort_keys=True)
+        wrapper["sha256"] = hashlib.sha256(wrapper["payload"].encode()).hexdigest()
+        victim = tmp_path / f"{GOLDEN_ENTRY_KEY}.json"
+        victim.write_text(json.dumps(wrapper, sort_keys=True))
+        return victim
+
+    @pytest.mark.parametrize("edit", [
+        lambda ops, comms: ops[3].__setitem__(0, 4),
+        lambda ops, comms: comms[0].__setitem__(0, 4),
+        lambda ops, comms: ops[1].__setitem__(0, ops[0][0]),
+        lambda ops, comms: ops[0].__setitem__(0, -1),
+        lambda ops, comms: comms[0].__setitem__(0, -4),
+    ], ids=["op_past_n", "comm_past_n", "repeated_op", "negative_op", "negative_comm"])
+    def test_get_refuses_positions_that_do_not_fit(self, tmp_path, edit):
+        victim = self._bad_entry_file(tmp_path, edit)
+        region, fingerprint = _golden_entry_request()
+        assert len(fingerprint.permutation) == 4
+        cache = ScheduleCache(disk_dir=tmp_path)
+        assert cache.get(fingerprint, region) is None
+        assert cache.stats.to_dict() == {
+            "hits": 0, "misses": 1, "stores": 0, "evictions": 0,
+            "corrupt": 1, "quarantined": 1,
+        }
+        assert not victim.exists()
+        assert (tmp_path / "quarantine" / victim.name).exists()
+        assert len(cache) == 0
+        assert cache.get(fingerprint, region) is None  # now a plain miss
+        assert (cache.stats.misses, cache.stats.corrupt) == (2, 1)
+
+    def test_a_refused_memory_entry_is_dropped(self):
+        region, fingerprint = _golden_entry_request()
+        cache = ScheduleCache()
+        _put_golden(cache, fingerprint)
+        # Under a colliding key, a 3-instruction requester cannot hold
+        # the 4-position entry.
+        small = Fingerprint(key=fingerprint.key, permutation=(0, 1, 2))
+        assert cache.get(small, region) is None
+        assert (cache.stats.corrupt, cache.stats.misses, len(cache)) == (1, 1, 0)
+
+    def test_pickled_hit_outcome_round_trips_without_the_region(self):
+        machine = MACHINES["raw4x4"]
+        region = build_benchmark("mxm", machine).regions[0]
+        cache = ScheduleCache()
+        cold = execute_task(_warm_task(region, machine), cache)
+        warm = execute_task(_warm_task(region, machine), cache)
+        assert warm.cache_status == CACHE_HIT
+        data = pickle.dumps(warm)
+        unpickler = _RecordingUnpickler(data)
+        copied = unpickler.load()
+        assert not [found for found in unpickler.found if found[0].startswith("repro.ir")]
+        assert len(data) < len(pickle.dumps(region))
+        assert copied.schedule == warm.schedule
+        assert _flat(copied.schedule) == _flat(cold.schedule)
+        assert verify_schedule(region, machine, copied.schedule).ok
+        again = pickle.loads(pickle.dumps(warm))  # after the build
+        assert again.schedule == warm.schedule
+
+    def test_pool_workers_return_hits_that_rebuild(self, tmp_path):
+        machine = MACHINES["vliw4"]
+        program = build_benchmark("mxm", machine)
+        cache = ScheduleCache(disk_dir=tmp_path)
+        tasks = [_warm_task(region, machine) for region in program.regions]
+        for index, task in enumerate(tasks):
+            task.index = index
+        with CompilationEngine(jobs=1, cache=cache) as engine:
+            cold = engine.run_tasks(copy.deepcopy(tasks))
+        with CompilationEngine(jobs=2, cache=ScheduleCache(disk_dir=tmp_path)) as engine:
+            warm = engine.run_tasks(copy.deepcopy(tasks))
+        assert [o.cache_status for o in warm] == [CACHE_HIT] * len(tasks)
+        assert any(o.worker != os.getpid() for o in warm)
+        for c, w in zip(cold, warm):
+            assert _flat(w.schedule) == _flat(c.schedule)

@@ -15,7 +15,9 @@ text is part of the cache's on-disk format.  Two checks hold it still:
   graphs;
 * **the canonical-form memo** — memoized forms equal fresh ones and the
   oracle, for the graph as it is at each call: after in-place edits, in
-  either adjacency order, with numpy scalar attributes, from 4 threads.
+  either adjacency order, with numpy scalar attributes, from 4 threads;
+* **the machine-text memo** — memoized machine texts equal the oracle
+  for the machine as it is at each call, and equal machines share one.
 """
 
 from __future__ import annotations
@@ -35,12 +37,14 @@ from repro import ConvergentScheduler
 from repro.engine import FINGERPRINT_SCHEMA_VERSION
 from repro.engine.fingerprint import (
     CANONICAL_MEMO_CAPACITY,
+    MACHINE_MEMO_CAPACITY,
     _digest_text,
     canonical_form,
     content_digest,
     canonical_permutation,
     ddg_fingerprint,
     machine_payload,
+    machine_payload_text,
     machine_spec_text,
     schedule_key,
     scheduler_payload,
@@ -469,3 +473,70 @@ class TestCanonicalMemo:
         finally:
             sys.setswitchinterval(interval)
         assert results == [[key for _, key in cases]] * 4
+
+
+# ----------------------------------------------------------------------
+# The machine-text memo
+# ----------------------------------------------------------------------
+
+
+def _oracle_machine_text(machine) -> str:
+    return json.dumps(machine_payload(machine), sort_keys=True, default=str)
+
+
+class _PenaltyVLIW(ClusteredVLIW):
+    """A picklable machine class whose class-level memory fields a test
+    changes, leaving ``ClusteredVLIW``'s alone."""
+
+
+class TestMachineTextMemo:
+    """Machine payload texts are memoized by content, never by object."""
+
+    def test_live_latency_bump_gets_fresh_text_and_key(self):
+        region, _ = _suite_region("vliw4", "fir")
+        machine = ClusteredVLIW(4)
+        text = machine_payload_text(machine)
+        key = schedule_key(region, machine, ConvergentScheduler()).key
+        machine.latency_model.latencies[Opcode.FADD] += 1
+        bumped = machine_payload_text(machine)
+        assert bumped != text
+        assert bumped == _oracle_machine_text(machine)
+        bumped_key = schedule_key(region, machine, ConvergentScheduler()).key
+        assert bumped_key != key
+        assert bumped_key == oracle_schedule_key(region, machine, ConvergentScheduler())
+
+    def test_class_level_memory_fields_are_read_on_every_call(self):
+        machine = _PenaltyVLIW(4)
+        assert content_digest(machine) is not None  # keyed, not computed fresh
+        text = machine_payload_text(machine)
+        try:
+            _PenaltyVLIW.remote_mem_penalty = 3
+            assert machine_payload_text(machine) != text
+            assert machine_payload_text(machine) == _oracle_machine_text(machine)
+        finally:
+            _PenaltyVLIW.remote_mem_penalty = ClusteredVLIW.remote_mem_penalty
+
+    def test_equal_machines_share_one_entry(self):
+        memo = fp_mod._MACHINE_MEMO
+        memo.clear()
+        text = machine_payload_text(RawMachine(4, 4))
+        assert machine_payload_text(RawMachine(4, 4)) is text
+        assert len(memo) == 1
+        assert text == machine_spec_text("raw4x4")
+
+    def test_unpicklable_machine_is_encoded_fresh(self):
+        memo = fp_mod._MACHINE_MEMO
+        memo.clear()
+        machine = ClusteredVLIW(4)
+        machine.hook = lambda: 0
+        assert machine_payload_text(machine) == _oracle_machine_text(machine)
+        assert len(memo) == 0
+
+    def test_memo_never_exceeds_its_capacity(self):
+        memo = fp_mod._MACHINE_MEMO
+        assert memo.capacity == MACHINE_MEMO_CAPACITY
+        for registers in range(1, MACHINE_MEMO_CAPACITY + 9):
+            machine = ClusteredVLIW(2, registers=registers)
+            assert machine_payload_text(machine) == _oracle_machine_text(machine)
+            assert len(memo) <= MACHINE_MEMO_CAPACITY
+        assert len(memo) == MACHINE_MEMO_CAPACITY
