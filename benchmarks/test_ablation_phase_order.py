@@ -12,7 +12,6 @@ would rival the drop-a-pass ablation; cooperative decisions should keep
 it much tighter.
 """
 
-import itertools
 
 import pytest
 

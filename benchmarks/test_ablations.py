@@ -104,13 +104,11 @@ def test_graph_shape_sensitivity(benchmark):
         "\n".join(f"  {k}: {v}" for k, v in results.items()),
     )
     # Fat graphs should finish much faster per instruction than thin ones.
-    thin_conv = results[f"thin240"][0]
-    fat_conv = results[f"fat240"][0]
+    thin_conv = results["thin240"][0]
+    fat_conv = results["fat240"][0]
     assert fat_conv < thin_conv
 
     def run():
-        region = fat_graph(240).regions[0]
-        apply_congruence_program = region  # keep benchmark body trivial
-        return region
+        return fat_graph(240).regions[0]
 
     benchmark(run)

@@ -8,7 +8,6 @@ cost that Table 1's length implies per scheduling unit.
 import pytest
 
 from repro.core import (
-    ConvergentScheduler,
     PreferenceMatrix,
     RAW_SEQUENCE,
     TUNED_VLIW_SEQUENCE,

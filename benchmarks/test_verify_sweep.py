@@ -13,6 +13,7 @@ import pytest
 
 from repro.machine import ClusteredVLIW, RawMachine
 from repro.verify import run_sweep, scheduler_registry
+from repro.workloads import RAW_SUITE, VLIW_SUITE
 
 from .conftest import print_report
 
@@ -27,7 +28,11 @@ def test_sweep_report(sweep):
         "Verification sweep (all schedulers x suites x machines)",
         sweep.render(),
     )
-    assert len(sweep.cells) >= 100
+    # One cell per registered scheduler and suite region; every suite
+    # kernel builds a single region.
+    assert len(sweep.cells) == len(scheduler_registry()) * (
+        len(RAW_SUITE) + len(VLIW_SUITE)
+    )
 
 
 def test_every_schedule_verifies_clean(sweep):

@@ -9,7 +9,7 @@ schedules it on a machine with small register files, and compares:
 
 * the tuned sequence as-is,
 * the tuned sequence with the REGPRESS pass spliced in,
-* the CARS baseline (register-aware unified scheduling),
+* the UAS baseline,
 
 reporting peak per-cluster pressure and the spills a linear-scan
 allocator would insert.
@@ -22,7 +22,6 @@ from repro import ClusteredVLIW, ConvergentScheduler, RegionBuilder
 from repro.core import TUNED_VLIW_SEQUENCE
 from repro.regalloc import allocate_registers, pressure_profile
 from repro.schedulers import UnifiedAssignAndSchedule
-from repro.schedulers.cars import CarsScheduler
 from repro.sim import simulate
 
 
@@ -66,15 +65,10 @@ def main() -> None:
     uas = UnifiedAssignAndSchedule().schedule(register_hungry_region(), machine)
     report("uas", register_hungry_region(), machine, uas)
 
-    cars = CarsScheduler(register_weight=12.0, threshold=0.5).schedule(
-        register_hungry_region(), machine
-    )
-    report("cars", register_hungry_region(), machine, cars)
-
     print(
         "\nREGPRESS sees the whole preference distribution at once, so it "
         "spreads long-lived values before any register file overflows — "
-        "fewest spills above.  The greedy schedulers decide one "
+        "fewest spills above.  The greedy scheduler decides one "
         "instruction at a time: by the time a file looks full, the "
         "long-lived values are already placed.  That is the paper's "
         "argument for cooperative, revisable decisions in one sentence."

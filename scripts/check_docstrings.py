@@ -27,7 +27,7 @@ import importlib
 import inspect
 import pkgutil
 import sys
-from typing import Iterator, List, Tuple
+from typing import Iterator, List
 
 # repro.core.kernels is inside repro.core, but is named explicitly so
 # the kernel layer stays audited even if the package list is trimmed.

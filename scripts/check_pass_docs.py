@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Pass documentation audit: registry vs docs vs README, no drift.
+"""Pass and CLI documentation audit: registries vs docs vs README, no drift.
 
 The pass registry (`repro.core.passes.PASS_REGISTRY`) is the single
 source of truth for what passes exist.  This audit fails when the
@@ -11,7 +11,12 @@ documentation falls out of step with it:
 * the README states the registered pass count with the right number
   word (historically it said "eleven" after REGPRESS made it twelve);
 * the published sequences quoted in ``docs/passes.md`` match the
-  constants in ``repro.core.sequences`` token for token.
+  constants in ``repro.core.sequences`` token for token;
+* the README's CLI verb table lists exactly the subcommands
+  ``repro.cli.build_parser()`` registers;
+* the README's ``schedule`` row names exactly the schedulers
+  ``repro.verify.sweep.scheduler_registry()`` holds (the
+  ``--scheduler`` choices).
 
 Exit status 0 when clean, 1 with a per-problem report otherwise.
 Run from the repository root::
@@ -21,9 +26,11 @@ Run from the repository root::
 
 from __future__ import annotations
 
+import argparse
+import re
 import sys
 from pathlib import Path
-from typing import List
+from typing import List, Set
 
 #: English words for plausible registry sizes, used to check the
 #: README's prose count.  A size outside this range fails loudly.
@@ -31,6 +38,42 @@ COUNT_WORDS = {
     9: "nine", 10: "ten", 11: "eleven", 12: "twelve",
     13: "thirteen", 14: "fourteen", 15: "fifteen", 16: "sixteen",
 }
+
+
+def readme_verbs(readme: str) -> Set[str]:
+    """Verbs in the README's CLI table: rows shaped ``| `verb` | ... |``."""
+    section = readme.split("## Command-line interface", 1)[-1].split("\n## ", 1)[0]
+    return set(re.findall(r"^\| `([a-z0-9]+)` \|", section, flags=re.MULTILINE))
+
+
+def readme_schedulers(readme: str) -> Set[str]:
+    """Backticked names after "`--scheduler` picks" in the ``schedule`` row,
+    up to the row's first ``;``."""
+    row = re.search(r"^\| `schedule` \|.*$", readme, flags=re.MULTILINE)
+    if row is None or "`--scheduler` picks" not in row.group(0):
+        return set()
+    picks = row.group(0).split("`--scheduler` picks", 1)[1].split(";", 1)[0]
+    return set(re.findall(r"`([a-z0-9_-]+)`", picks))
+
+
+def parser_verbs() -> Set[str]:
+    """Subcommands registered by :func:`repro.cli.build_parser`."""
+    from repro.cli import build_parser
+
+    for action in build_parser()._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return set(action.choices)
+    return set()
+
+
+def _drift(label: str, documented: Set[str], actual: Set[str]) -> List[str]:
+    """One problem line per name the README lists but the code lacks, or
+    the other way round."""
+    problems = [f"README.md: {label} lists {name!r}, which does not exist"
+                for name in sorted(documented - actual)]
+    problems += [f"README.md: {label} omits {name!r}"
+                 for name in sorted(actual - documented)]
+    return problems
 
 
 def main() -> int:
@@ -79,6 +122,15 @@ def main() -> int:
                 f"repro.core.sequences ({quoted})"
             )
 
+    from repro.verify.sweep import scheduler_registry
+
+    verbs = parser_verbs()
+    problems += _drift("the CLI verb table", readme_verbs(readme), verbs)
+    schedulers = set(scheduler_registry())
+    problems += _drift(
+        "the `schedule --scheduler` list", readme_schedulers(readme), schedulers
+    )
+
     if problems:
         print(f"pass-docs audit FAILED ({len(problems)} problem(s)):")
         for problem in problems:
@@ -86,7 +138,8 @@ def main() -> int:
         return 1
     print(
         f"pass-docs audit ok: {count} registered passes documented in "
-        "docs/passes.md, docs/kernels.md, and README.md"
+        "docs/passes.md, docs/kernels.md, and README.md; README lists the "
+        f"{len(verbs)} CLI verbs and {len(schedulers)} schedulers"
     )
     return 0
 

@@ -19,7 +19,7 @@ bounds; this module makes that fight measurable on real kernels.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..ir.regions import Region
 from ..machine.machine import Machine

@@ -14,8 +14,6 @@
   into a schema-versioned ``BENCH_<n>.json``, or compare snapshots
   (``--compare A B`` / ``--against-latest``) with a CI-gating exit
   code on schedule-quality regressions;
-* ``search`` — hill-climb a pass sequence for a machine on a training
-  set;
 * ``faults`` — seeded fault-injection campaign demonstrating the
   guarded pipeline's graceful degradation;
 * ``verify`` — static legality verification: sweep schedulers ×
@@ -62,8 +60,7 @@ import time
 from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, TYPE_CHECKING
 
-from .core import ConvergentScheduler, PASS_REGISTRY, sequence_for_machine
-from .core.search import search_sequence_for
+from .core import ConvergentScheduler, PASS_REGISTRY
 from .faults import run_campaign
 from .harness import (
     compile_time_scaling,
@@ -167,9 +164,6 @@ def parse_machine(spec: str) -> Machine:
 def _cmd_list(args: argparse.Namespace) -> int:
     print("benchmarks (raw suite):  " + " ".join(RAW_SUITE))
     print("benchmarks (vliw suite): " + " ".join(VLIW_SUITE))
-    extras = sorted(set(KERNELS) - set(RAW_SUITE) - set(VLIW_SUITE))
-    if extras:
-        print("benchmarks (extra):      " + " ".join(extras))
     print("passes:     " + " ".join(sorted(PASS_REGISTRY)))
     print("schedulers: " + " ".join(sorted(SCHEDULERS)))
     print("machines:   vliwN | rawN | rawRxC   (e.g. vliw4, raw16, raw2x4)")
@@ -786,22 +780,6 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_search(args: argparse.Namespace) -> int:
-    machine = parse_machine(args.machine)
-    names = _split(args.benchmarks) or ["vvmul", "yuv"]
-    regions = [build_benchmark(n, machine).regions[0] for n in names]
-    result = search_sequence_for(
-        machine, regions, iterations=args.iterations, seed=args.seed or 0
-    )
-    baseline = result.history[0][1]
-    print(f"start : {result.history[0][0]}  score {baseline:.0f}")
-    print(f"best  : {result.best_sequence}  score {result.best_score:.0f}")
-    if baseline > 0:
-        print(f"improvement: {100 * (1 - result.best_score / baseline):+.1f}% "
-              f"({result.evaluations} evaluations)")
-    return 0
-
-
 def _cmd_all(args: argparse.Namespace) -> int:
     """Regenerate every table and figure; optionally save JSON results."""
     from pathlib import Path
@@ -1057,12 +1035,6 @@ def build_parser() -> argparse.ArgumentParser:
              "temporary directory, removed afterwards)",
     )
 
-    search = sub.add_parser("search", help="hill-climb a pass sequence")
-    search.add_argument("--machine", default="vliw4")
-    search.add_argument("--benchmarks")
-    search.add_argument("--iterations", type=int, default=40)
-    search.add_argument("--seed", type=int, default=0)
-
     timeline = sub.add_parser(
         "timeline",
         help="per-worker Gantt lanes and saturation stats from a flight "
@@ -1228,7 +1200,6 @@ _COMMANDS = {
     "loadtest": _hardened(_cmd_loadtest),
     "profile": _cmd_profile,
     "resilience": _hardened(_cmd_resilience),
-    "search": _cmd_search,
     "serve": _hardened(_cmd_serve),
     "timeline": _hardened(_cmd_timeline),
     "trace": _cmd_trace,

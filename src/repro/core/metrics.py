@@ -10,7 +10,7 @@ preference-map frames.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 from .weights import PreferenceMatrix
 

@@ -51,10 +51,11 @@ TUNED_RAW_SEQUENCE: Sequence[str] = RAW_SEQUENCE
 #: trial and error (Section 4); redoing that calibration on this
 #: substrate, the published VLIW order (which has no load balancing)
 #: collapses work onto cluster 0 under FIRST + COMM.  The tuned order
-#: below was produced by :mod:`repro.core.search` (hill climbing over
-#: pass sequences, trained on the VLIW suite — the automated version of
-#: the authors' manual tuning); it borrows LOAD and LEVEL from the Raw
-#: sequence and repeats LOAD aggressively.  EXPERIMENTS.md quantifies
+#: below came from a hill-climbing search over pass sequences, trained
+#: on the VLIW suite (the automated version of the authors' manual
+#: tuning).  That search has since been removed; the constant is
+#: unchanged.  It borrows LOAD and LEVEL from the Raw sequence and
+#: repeats LOAD aggressively.  EXPERIMENTS.md quantifies
 #: the difference; the published order remains available as
 #: :data:`VLIW_SEQUENCE`.
 TUNED_VLIW_SEQUENCE: Sequence[str] = (

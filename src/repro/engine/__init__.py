@@ -38,9 +38,7 @@ from .fingerprint import (
     Fingerprint,
     canonical_permutation,
     ddg_fingerprint,
-    machine_fingerprint,
     schedule_key,
-    scheduler_fingerprint,
 )
 from .pool import (
     CACHE_HIT,
@@ -97,8 +95,6 @@ __all__ = [
     "canonical_permutation",
     "execute_task",
     "ddg_fingerprint",
-    "machine_fingerprint",
     "schedule_key",
-    "scheduler_fingerprint",
     "worker_cache",
 ]

@@ -539,11 +539,6 @@ class ScheduleCache:
     def __len__(self) -> int:
         return len(self._memory)
 
-    def clear_memory(self) -> None:
-        """Drop the in-memory layer (the disk layer is untouched)."""
-        with self._lock:
-            self._memory.clear()
-
     # ------------------------------------------------------------------
     # Layers
     # ------------------------------------------------------------------

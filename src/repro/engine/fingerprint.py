@@ -160,11 +160,6 @@ def _digest_text(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _digest(payload: Any) -> str:
-    """SHA-256 hex digest of a JSON-serializable payload."""
-    return _digest_text(_encode(payload))
-
-
 def _object_text(members: Dict[str, str]) -> str:
     """JSON object text from pre-encoded member values.
 
@@ -511,11 +506,6 @@ def machine_payload_text(machine: Machine) -> str:
     return text
 
 
-def machine_fingerprint(machine: Machine) -> str:
-    """Digest of :func:`machine_payload`."""
-    return _digest(machine_payload(machine))
-
-
 # ----------------------------------------------------------------------
 # Scheduler fingerprint
 # ----------------------------------------------------------------------
@@ -590,11 +580,6 @@ def scheduler_payload(scheduler: Scheduler) -> Dict[str, Any]:
     if members is not None:
         payload["chain_members"] = [scheduler_payload(m) for m in members]
     return payload
-
-
-def scheduler_fingerprint(scheduler: Scheduler) -> str:
-    """Digest of :func:`scheduler_payload`."""
-    return _digest(scheduler_payload(scheduler))
 
 
 # ----------------------------------------------------------------------

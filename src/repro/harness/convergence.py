@@ -8,10 +8,9 @@ after each spatially active pass.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Sequence
 
 from ..core.convergent import ConvergentScheduler
-from ..core.metrics import ConvergenceTrace
 from ..machine.machine import Machine
 from ..workloads.suite import build_benchmark
 
@@ -36,12 +35,6 @@ class ConvergenceStudy:
             cells = "  ".join(f"{v:8.2%} " for v in values)
             lines.append(f"{bench.ljust(14)}  {cells}")
         return "\n".join(lines)
-
-    def final_churn(self, benchmark: str) -> float:
-        """Changed fraction after the last spatial pass (→ 0 when
-        converged)."""
-        values = self.series[benchmark]
-        return values[-1] if values else 0.0
 
 
 def convergence_study(

@@ -7,7 +7,7 @@ numbers themselves.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 
 def format_table(

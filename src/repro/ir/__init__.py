@@ -3,11 +3,9 @@
 from .builder import RegionBuilder, Value
 from .cfg import BasicBlock, CfgEdge, ControlFlowGraph, Stmt
 from .ddg import DataDependenceGraph, GraphError
-from .hyperblocks import find_diamonds, if_convert, program_from_cfg_hyperblocks
 from .instruction import DependenceEdge, Instruction
 from .opcode import FuncClass, LatencyModel, Opcode, func_class, is_memory, is_pseudo
 from .regions import Program, Region, RegionKind
-from .superblocks import program_from_cfg_superblocks, tail_duplicate
 from .traces import form_traces, lower_trace, program_from_cfg
 
 __all__ = [
@@ -27,15 +25,10 @@ __all__ = [
     "RegionKind",
     "Stmt",
     "Value",
-    "find_diamonds",
     "form_traces",
-    "if_convert",
     "func_class",
     "lower_trace",
     "program_from_cfg",
-    "program_from_cfg_hyperblocks",
-    "program_from_cfg_superblocks",
-    "tail_duplicate",
     "is_memory",
     "is_pseudo",
 ]

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .ddg import DataDependenceGraph
-from .instruction import Instruction
 from .opcode import LatencyModel, Opcode
 from .regions import Region, RegionKind
 

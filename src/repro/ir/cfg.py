@@ -13,9 +13,9 @@ formation and trace-to-region lowering live in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .opcode import Opcode, is_memory
+from .opcode import Opcode
 
 
 @dataclass(frozen=True)

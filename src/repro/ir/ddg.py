@@ -16,7 +16,7 @@ mutation invalidates the caches.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence
 
 from .instruction import DependenceEdge, Instruction
 from .opcode import LatencyModel, Opcode

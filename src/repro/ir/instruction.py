@@ -10,7 +10,7 @@ across scheduling regions and has a fixed home cluster.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .opcode import FuncClass, Opcode, func_class, is_memory, is_pseudo

@@ -19,7 +19,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Set
 
 from .builder import RegionBuilder, Value
-from .cfg import BasicBlock, ControlFlowGraph
+from .cfg import ControlFlowGraph
 from .opcode import Opcode
 from .regions import Program, Region, RegionKind
 

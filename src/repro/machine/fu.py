@@ -8,7 +8,7 @@ cycle by cycle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import FrozenSet, Tuple
 
 from ..ir.opcode import FuncClass

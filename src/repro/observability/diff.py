@@ -109,11 +109,6 @@ class BenchComparison:
         return [d for d in self.deltas if d.verdict == REGRESSED]
 
     @property
-    def improvements(self) -> List[CellDelta]:
-        """Cells whose schedule quality got better."""
-        return [d for d in self.deltas if d.verdict == IMPROVED]
-
-    @property
     def timing_flags(self) -> List[CellDelta]:
         """Cells whose compile time moved beyond the tolerance."""
         return [d for d in self.deltas if d.timing_flagged]

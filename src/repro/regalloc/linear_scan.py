@@ -12,7 +12,7 @@ aggressive partitioning expensive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from ..ir.regions import Region
 from ..machine.machine import Machine

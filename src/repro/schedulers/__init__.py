@@ -10,8 +10,6 @@
 """
 
 from .base import Scheduler
-from .anneal import SimulatedAnnealingScheduler
-from .cars import CarsScheduler
 from .fallback import FallbackAttempt, FallbackChain, FallbackReport
 from .list_scheduler import (
     ListScheduler,
@@ -27,7 +25,6 @@ from .single import SingleClusterScheduler
 from .uas import UnifiedAssignAndSchedule
 
 __all__ = [
-    "CarsScheduler",
     "CommEvent",
     "FallbackAttempt",
     "FallbackChain",
@@ -40,7 +37,6 @@ __all__ = [
     "ScheduledOp",
     "Scheduler",
     "SchedulingError",
-    "SimulatedAnnealingScheduler",
     "SingleClusterScheduler",
     "UnifiedAssignAndSchedule",
     "effective_latency",

@@ -9,7 +9,7 @@ resource key is any hashable value; the list scheduler uses
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Hashable, Sequence, Set, Tuple
 
 ResourceKey = Hashable
 

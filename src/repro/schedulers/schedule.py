@@ -12,7 +12,7 @@ by the benchmark harness.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..machine.machine import CommResource
 

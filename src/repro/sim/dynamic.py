@@ -24,7 +24,7 @@ nothing interferes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Tuple
 
 from ..ir.regions import Region
 from ..machine.machine import Machine

@@ -14,7 +14,7 @@ a benchmark is the simulator's, not the scheduler's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.regions import Region
 from ..machine.machine import Machine

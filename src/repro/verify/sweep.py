@@ -45,18 +45,14 @@ def scheduler_registry() -> Dict[str, Callable[[], Scheduler]]:
     """
     from ..core import ConvergentScheduler
     from ..schedulers import (
-        CarsScheduler,
         FallbackChain,
         PartialComponentClustering,
         RawccScheduler,
-        SimulatedAnnealingScheduler,
         SingleClusterScheduler,
         UnifiedAssignAndSchedule,
     )
 
     return {
-        "anneal": SimulatedAnnealingScheduler,
-        "cars": CarsScheduler,
         "convergent": ConvergentScheduler,
         "fallback": FallbackChain,
         "pcc": PartialComponentClustering,

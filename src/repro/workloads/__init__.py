@@ -1,9 +1,7 @@
 """Benchmark kernels, suites, congruence analysis, synthetic graphs."""
 
 from .congruence import apply_congruence, clear_preplacement
-from .interregion import assign_cross_region_homes, cross_region_affinity
 from .kernels import KERNELS
-from .programs import partial_sums_program, stencil_pipeline
 from .suite import (
     LOW_PREPLACEMENT,
     RAW_SUITE,
@@ -19,14 +17,10 @@ __all__ = [
     "RAW_SUITE",
     "VLIW_SUITE",
     "apply_congruence",
-    "assign_cross_region_homes",
-    "cross_region_affinity",
     "build_benchmark",
     "clear_preplacement",
     "fat_graph",
     "layered_graph",
-    "partial_sums_program",
-    "stencil_pipeline",
     "suite_for_machine",
     "thin_graph",
 ]

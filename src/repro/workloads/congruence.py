@@ -18,7 +18,6 @@ scheduling regions:
 
 from __future__ import annotations
 
-from typing import Optional
 
 from ..ir.opcode import Opcode
 from ..ir.regions import Program, Region

@@ -22,7 +22,6 @@ Graph shapes match the paper's characterization:
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Dict, List
 
 import numpy as np
@@ -318,113 +317,6 @@ def fir(unroll: int = 8, banks: int = 16, taps: int = 8) -> Program:
     return Program("fir", [b.build()])
 
 
-def fft(points: int = 16, banks: int = 16) -> Program:
-    """Radix-2 FFT butterfly network (not in the paper's suites; an
-    extra demo workload whose log-depth shuffle structure stresses
-    spatial schedulers differently from stencils and dot products).
-
-    ``points`` complex inputs flow through ``log2(points)`` butterfly
-    stages; each butterfly is a complex multiply-add (10 flops).  Banks
-    interleave by input index, so preplacement pins the leaves while the
-    shuffles force cross-cluster traffic that halves every stage.
-    """
-    if points < 2 or points & (points - 1):
-        raise ValueError("points must be a power of two >= 2")
-    b = RegionBuilder("fft.body")
-    real = [b.load(bank=i % banks, name=f"re[{i}]", array="re") for i in range(points)]
-    imag = [b.load(bank=i % banks, name=f"im[{i}]", array="im") for i in range(points)]
-    wr = b.li(0.7071, name="wr")
-    wi = b.li(-0.7071, name="wi")
-    span = points // 2
-    while span >= 1:
-        next_real = list(real)
-        next_imag = list(imag)
-        for base in range(0, points, span * 2):
-            for k in range(span):
-                lo, hi = base + k, base + k + span
-                # t = w * x[hi]  (complex)
-                tr = b.fsub(b.fmul(wr, real[hi]), b.fmul(wi, imag[hi]))
-                ti = b.fadd(b.fmul(wr, imag[hi]), b.fmul(wi, real[hi]))
-                next_real[lo] = b.fadd(real[lo], tr)
-                next_imag[lo] = b.fadd(imag[lo], ti)
-                next_real[hi] = b.fsub(real[lo], tr)
-                next_imag[hi] = b.fsub(imag[lo], ti)
-        real, imag = next_real, next_imag
-        span //= 2
-    for i in range(points):
-        b.store(real[i], bank=i % banks, name=f"outre[{i}]", array="outre")
-        b.store(imag[i], bank=i % banks, name=f"outim[{i}]", array="outim")
-    return Program("fft", [b.build()])
-
-
-def btrix(unroll: int = 8, banks: int = 16, block: int = 4) -> Program:
-    """Btrix (Nasa7): block-tridiagonal forward elimination.
-
-    Not in the paper's tables — the remaining Nasa7 kernels (btrix,
-    gmtry, emit) ship as extra workloads from the same suite as vpenta,
-    mxm, and cholesky.  Each unrolled system eliminates ``block``
-    sub-diagonal entries per step: a short serial recurrence with a
-    block-sized parallel update inside, a shape between vpenta's chains
-    and mxm's dot products.
-    """
-    b = RegionBuilder("btrix.body")
-    for j in range(unroll):
-        carry = b.load(bank=j % banks, name=f"d[{j}][0]", array="d")
-        for k in range(block):
-            coeff = b.load(bank=(j + k) % banks, name=f"a[{j}][{k}]", array="a")
-            upper = b.load(bank=(j + k + 1) % banks, name=f"c[{j}][{k}]", array="c")
-            rhs = b.load(bank=j % banks, name=f"r[{j}][{k}]", array="r")
-            factor = b.fdiv(coeff, carry, name=f"f[{j}][{k}]")
-            carry = b.fsub(rhs, b.fmul(factor, upper), name=f"d[{j}][{k + 1}]")
-        b.store(carry, bank=j % banks, name=f"out[{j}]", array="out")
-    return Program("btrix", [b.build()])
-
-
-def gmtry(rows: int = 8, banks: int = 16, width: int = 6) -> Program:
-    """Gmtry (Nasa7): Gaussian-elimination setup.
-
-    One pivot reciprocal is shared by every row update; each row then
-    scales and subtracts ``width`` entries independently — a single
-    serializing divide feeding wide parallelism, a shape none of the
-    paper kernels has.
-    """
-    b = RegionBuilder("gmtry.body")
-    pivot = b.load(bank=0, name="a[p][p]", array="a")
-    one = b.li(1.0)
-    reciprocal = b.fdiv(one, pivot, name="1/pivot")
-    for i in range(rows):
-        lead = b.load(bank=i % banks, name=f"a[{i}][p]", array="a")
-        factor = b.fmul(lead, reciprocal, name=f"m[{i}]")
-        for k in range(width):
-            upper = b.load(bank=(i + k) % banks, name=f"a[p][{k}]", array="ap")
-            current = b.load(bank=(i + k) % banks, name=f"a[{i}][{k}]", array="row")
-            updated = b.fsub(current, b.fmul(factor, upper))
-            b.store(updated, bank=(i + k) % banks, name=f"a'[{i}][{k}]", array="outrow")
-    return Program("gmtry", [b.build()])
-
-
-def emit(particles: int = 8, banks: int = 16) -> Program:
-    """Emit (Nasa7): vortex emission.
-
-    Per particle: a complex reciprocal (two divides sharing a
-    denominator) followed by a short arithmetic tail — fully parallel
-    across particles but divide-latency-bound within one.
-    """
-    b = RegionBuilder("emit.body")
-    gamma = b.li(0.03, name="gamma")
-    for p in range(particles):
-        zr = b.load(bank=p % banks, name=f"zr[{p}]", array="zr")
-        zi = b.load(bank=(p + 1) % banks, name=f"zi[{p}]", array="zi")
-        mag = b.fadd(b.fmul(zr, zr), b.fmul(zi, zi), name=f"|z|^2[{p}]")
-        ur = b.fdiv(zr, mag)
-        ui = b.fdiv(zi, mag)
-        vr = b.fmul(gamma, ui)
-        vi = b.fmul(gamma, ur)
-        b.store(b.fadd(zr, vr), bank=p % banks, name=f"zr'[{p}]", array="outr")
-        b.store(b.fsub(zi, vi), bank=(p + 1) % banks, name=f"zi'[{p}]", array="outi")
-    return Program("emit", [b.build()])
-
-
 #: All kernels, keyed by benchmark name (paper spelling).
 KERNELS: Dict[str, Callable[..., Program]] = {
     "cholesky": cholesky,
@@ -440,8 +332,4 @@ KERNELS: Dict[str, Callable[..., Program]] = {
     "rbsorf": rbsorf,
     "yuv": yuv,
     "fir": fir,
-    "fft": fft,
-    "btrix": btrix,
-    "gmtry": gmtry,
-    "emit": emit,
 }

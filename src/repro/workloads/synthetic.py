@@ -10,7 +10,6 @@ mixed layered family; they drive the compile-time scalability experiment
 
 from __future__ import annotations
 
-from typing import Optional
 
 import numpy as np
 

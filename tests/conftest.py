@@ -6,7 +6,7 @@ import pytest
 
 from repro.ir import RegionBuilder
 from repro.machine import ClusteredVLIW, RawMachine
-from repro.workloads import apply_congruence, build_benchmark
+from repro.workloads import build_benchmark
 
 
 @pytest.fixture

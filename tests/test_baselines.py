@@ -4,7 +4,7 @@ import pytest
 
 from repro.ir import RegionBuilder
 from repro.ir.regions import Program
-from repro.machine import ClusteredVLIW, RawMachine
+from repro.machine import RawMachine
 from repro.schedulers import (
     ListScheduler,
     PartialComponentClustering,
@@ -108,7 +108,6 @@ class TestRawcc:
         rawcc = RawccScheduler()
         vcs = rawcc.cluster(jacobi_raw.ddg, raw4, comm_cost=3)
         merged = rawcc.merge(vcs, jacobi_raw.ddg, raw4.n_clusters)
-        homes = [vc.home for vc in merged if vc.home is not None]
         # Never merges two distinct homes together.
         for vc in merged:
             members_homes = {

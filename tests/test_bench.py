@@ -165,9 +165,11 @@ class TestDeterminism:
 
     def test_quality_json_is_byte_identical(self, snapshot):
         again = small_bench()
-        dump = lambda snap: json.dumps(
-            [{**c.to_dict(), "cost": None} for c in snap.cells], sort_keys=True
-        )
+        def dump(snap):
+            return json.dumps(
+                [{**c.to_dict(), "cost": None} for c in snap.cells], sort_keys=True
+            )
+
         assert dump(snapshot) == dump(again)
 
 

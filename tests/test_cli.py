@@ -69,14 +69,6 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "vvmul" in out
 
-    def test_search_small(self, capsys):
-        assert main(
-            ["search", "--machine", "vliw4", "--benchmarks", "vvmul",
-             "--iterations", "4"]
-        ) == 0
-        out = capsys.readouterr().out
-        assert "best" in out and "INITTIME" in out
-
     def test_unknown_command_exits(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])

@@ -1,10 +1,9 @@
 """Unit tests for congruence analysis / preplacement binding."""
 
-import pytest
 
-from repro.ir import Opcode, RegionBuilder
+from repro.ir import RegionBuilder
 from repro.ir.regions import Program
-from repro.machine import ClusteredVLIW, RawMachine
+from repro.machine import RawMachine
 from repro.workloads import apply_congruence, clear_preplacement
 
 

@@ -1,6 +1,5 @@
 """Unit tests for the convergent scheduler driver."""
 
-import numpy as np
 import pytest
 
 from repro.core import (
@@ -13,7 +12,6 @@ from repro.core import (
     sequence_for_machine,
 )
 from repro.core.passes import PASS_REGISTRY, Noise
-from repro.ir import RegionBuilder
 from repro.sim import simulate
 
 from .conftest import build_dot_region

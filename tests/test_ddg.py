@@ -126,13 +126,13 @@ class TestTiming:
         g = DataDependenceGraph()
         a = g.new_instruction(Opcode.LOAD)
         b = g.new_instruction(Opcode.FMUL, (a.uid,))
-        c = g.new_instruction(Opcode.ADD, (b.uid,))
+        g.new_instruction(Opcode.ADD, (b.uid,))
         assert g.levels() == [0, 1, 2]
 
     def test_mutation_invalidates_caches(self):
         g = diamond()
         before = g.critical_path_length()
-        tail = g.new_instruction(Opcode.FMUL, (3,))
+        g.new_instruction(Opcode.FMUL, (3,))
         assert g.critical_path_length() > before
 
 

@@ -5,7 +5,7 @@ import dataclasses
 import pytest
 
 from repro.core import ConvergentScheduler
-from repro.machine import ClusteredVLIW, raw_with_tiles
+from repro.machine import raw_with_tiles
 from repro.schedulers import ListScheduler, RawccScheduler, UnifiedAssignAndSchedule
 from repro.sim.dynamic import crosscheck, dynamic_execute
 from repro.workloads import build_benchmark

@@ -31,7 +31,6 @@ from repro.harness import (
     run_region,
 )
 from repro.harness.results import program_result_from_dict, program_result_to_dict
-from repro.machine import ClusteredVLIW, RawMachine
 from repro.schedulers import (
     FallbackChain,
     Scheduler,

@@ -1,6 +1,5 @@
 """Unit tests for the experiment harness (runner, reports, studies)."""
 
-import math
 
 import pytest
 
@@ -18,7 +17,6 @@ from repro.harness import (
     vliw_speedups,
 )
 from repro.harness.speedup import SpeedupTable
-from repro.machine import ClusteredVLIW
 from repro.schedulers import UnifiedAssignAndSchedule
 from repro.workloads import build_benchmark
 
@@ -55,8 +53,11 @@ class TestReporting:
     def test_format_bar_chart(self):
         text = format_bar_chart({"g": {"a": 2.0, "b": 1.0}}, title="chart")
         assert "chart" in text
-        a_bar = next(l for l in text.splitlines() if " a" in l or l.strip().startswith("a"))
-        b_bar = next(l for l in text.splitlines() if l.strip().startswith("b"))
+        a_bar = next(
+            line for line in text.splitlines()
+            if " a" in line or line.strip().startswith("a")
+        )
+        b_bar = next(line for line in text.splitlines() if line.strip().startswith("b"))
         assert a_bar.count("#") > b_bar.count("#")
 
     def test_means(self):

@@ -1,8 +1,6 @@
 """Unit tests for the reference dataflow interpreter."""
 
-import math
 
-import pytest
 
 from repro.ir import Opcode, RegionBuilder
 from repro.sim.interpreter import (

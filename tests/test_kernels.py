@@ -4,7 +4,6 @@ import pytest
 
 from repro.analysis import graph_shape
 from repro.ir import Opcode
-from repro.machine import ClusteredVLIW, RawMachine
 from repro.workloads import (
     KERNELS,
     LOW_PREPLACEMENT,
@@ -123,76 +122,3 @@ class TestKernelSemantics:
     def test_fir_taps_are_live_ins(self):
         program = build_benchmark("fir", taps=8)
         assert len(program.regions[0].live_ins()) == 8
-
-
-class TestFft:
-    def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            build_benchmark("fft", points=12)
-
-    def test_butterfly_count(self):
-        # N=8: log2(8)=3 stages x N/2=4 butterflies, 10 flops each.
-        ddg = build_benchmark("fft", points=8).regions[0].ddg
-        flops = sum(
-            1 for i in ddg
-            if i.opcode in (Opcode.FADD, Opcode.FSUB, Opcode.FMUL)
-        )
-        assert flops == 3 * 4 * 10
-
-    def test_log_depth_structure(self):
-        from repro.analysis import graph_shape
-
-        small = graph_shape(build_benchmark("fft", points=8).regions[0].ddg)
-        large = graph_shape(build_benchmark("fft", points=32).regions[0].ddg)
-        # Doubling N twice adds only two butterfly stages of depth.
-        assert large.critical_path_length <= small.critical_path_length * 2
-
-    def test_schedules_on_both_machines(self, vliw4, raw4):
-        from repro.core import ConvergentScheduler
-        from repro.sim import simulate
-
-        for machine in (vliw4, raw4):
-            region = build_benchmark("fft", machine, points=8).regions[0]
-            schedule = ConvergentScheduler().schedule(region, machine)
-            assert simulate(region, machine, schedule).ok
-
-
-class TestExtraNasa7Kernels:
-    """btrix, gmtry, emit: the remaining Nasa7 kernels (extras, not in
-    the paper's tables)."""
-
-    @pytest.mark.parametrize("name", ["btrix", "gmtry", "emit"])
-    def test_valid_and_schedulable(self, name, vliw4):
-        from repro.core import ConvergentScheduler
-        from repro.sim import simulate
-
-        program = build_benchmark(name, vliw4)
-        region = program.regions[0]
-        region.ddg.validate()
-        schedule = ConvergentScheduler().schedule(region, vliw4)
-        assert simulate(region, vliw4, schedule).ok
-
-    def test_btrix_recurrence_depth(self):
-        ddg = build_benchmark("btrix", unroll=2, block=4).regions[0].ddg
-        # Each elimination step chains a divide (12) and fsub/fmul.
-        assert ddg.critical_path_length() > 4 * 12
-
-    def test_gmtry_shares_one_reciprocal(self):
-        ddg = build_benchmark("gmtry", rows=4).regions[0].ddg
-        divides = [i for i in ddg if i.opcode is Opcode.FDIV]
-        assert len(divides) == 1
-        fanout = len(ddg.successors(divides[0].uid))
-        assert fanout == 4  # one factor per row
-
-    def test_emit_is_parallel_across_particles(self, raw16):
-        from repro.analysis import graph_shape
-
-        shape = graph_shape(build_benchmark("emit", raw16, particles=16).regions[0].ddg)
-        assert shape.is_fat
-
-    def test_extras_listed_in_cli(self, capsys):
-        from repro.cli import main
-
-        main(["list"])
-        out = capsys.readouterr().out
-        assert "btrix" in out and "gmtry" in out and "emit" in out and "fft" in out

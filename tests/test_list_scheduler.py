@@ -2,15 +2,14 @@
 
 import pytest
 
-from repro.ir import Opcode, RegionBuilder
+from repro.ir import RegionBuilder
 from repro.ir.regions import Program
-from repro.machine import ClusteredVLIW, RawMachine
 from repro.schedulers import ListScheduler, SchedulingError
 from repro.schedulers.list_scheduler import effective_latency, feasible_clusters
 from repro.sim import simulate
 from repro.workloads import apply_congruence
 
-from .conftest import build_chain_region, build_dot_region
+from .conftest import build_chain_region
 
 
 def all_on(cluster, region):

@@ -7,7 +7,6 @@ correctness on a hand-built three-instruction region.
 """
 
 import json
-import math
 
 import numpy as np
 import pytest
@@ -22,7 +21,6 @@ from repro.observability import (
     MetricsRegistry,
     NullTracer,
     Tracer,
-    TraceRecord,
     active,
     install,
     instrumented,

@@ -13,7 +13,6 @@ from repro.core.passes import (
     Place,
 )
 from repro.ir import RegionBuilder
-from repro.machine import ClusteredVLIW, RawMachine
 
 
 def make_ctx(region, machine, seed=0):

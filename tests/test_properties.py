@@ -15,8 +15,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.core import PreferenceMatrix
-from repro.ir import DataDependenceGraph, Opcode, RegionBuilder
-from repro.ir.regions import Program, Region
+from repro.ir import Opcode, RegionBuilder
+from repro.ir.regions import Program
 from repro.machine import ClusteredVLIW, RawMachine
 from repro.schedulers import ListScheduler, UnifiedAssignAndSchedule
 from repro.schedulers.list_scheduler import feasible_clusters

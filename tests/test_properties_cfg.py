@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import ConvergentScheduler
 from repro.ir import ControlFlowGraph, Opcode, Stmt, form_traces, program_from_cfg
-from repro.ir.superblocks import tail_duplicate
 from repro.machine import ClusteredVLIW
 from repro.sim import simulate
 from repro.workloads import apply_congruence
@@ -84,13 +83,3 @@ class TestCfgPipelineProperties:
             schedule = scheduler.schedule(region, machine)
             report = simulate(region, machine, schedule)
             assert report.ok
-
-    @given(random_cfgs())
-    @settings(max_examples=15, deadline=None)
-    def test_tail_duplication_preserves_validity(self, cfg):
-        duplicated = tail_duplicate(cfg)
-        duplicated.validate()
-        # Total statement mass never shrinks (duplication only adds).
-        before = sum(len(b.stmts) for b in cfg.blocks())
-        after = sum(len(b.stmts) for b in duplicated.blocks())
-        assert after >= before

@@ -4,8 +4,8 @@ Rawcc-style baseline."""
 import pytest
 
 from repro.ir import RegionBuilder
-from repro.machine import RawMachine, raw_with_tiles
-from repro.schedulers import ListScheduler, RawccScheduler
+from repro.machine import raw_with_tiles
+from repro.schedulers import RawccScheduler
 from repro.sim import simulate
 from repro.workloads import build_benchmark
 

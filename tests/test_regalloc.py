@@ -1,6 +1,5 @@
 """Unit tests for register pressure analysis and linear-scan allocation."""
 
-import pytest
 
 from repro.ir import RegionBuilder
 from repro.machine import ClusteredVLIW

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.ir import Opcode, Program, Region, RegionBuilder, RegionKind
+from repro.ir import Program, Region, RegionBuilder, RegionKind
 from repro.ir.ddg import DataDependenceGraph
 
 

@@ -45,7 +45,7 @@ from repro.engine.fingerprint import canonical_form, content_digest, ddg_fingerp
 from repro.faults.chaos import RaisingPass
 from repro.harness.experiment import run_program
 from repro.harness.results import program_result_to_dict
-from repro.ir import Program
+from repro.ir import Program, Region, RegionKind
 from repro.machine import machine_from_spec
 from repro.schedulers.fallback import FallbackChain
 from repro.serve import (
@@ -285,6 +285,18 @@ class TestWireProperties:
             back, machine, ConvergentScheduler(), check_values=False
         )
         assert original.key == roundtrip.key
+
+    def test_every_region_kind_round_trips(self):
+        """The wire accepts all five kind strings, whatever formed the region."""
+        ddg = build_benchmark("vvmul").regions[0].ddg
+        program = Program(
+            "kinds",
+            regions=[Region(f"r_{kind.value}", ddg, kind=kind) for kind in RegionKind],
+        )
+        data = json.loads(json.dumps(program_to_dict(program)))
+        assert [r["kind"] for r in data["regions"]] == [k.value for k in RegionKind]
+        back = program_from_dict(data)
+        assert [r.kind for r in back.regions] == list(RegionKind)
 
     @pytest.mark.parametrize("spec,suite", [("raw4x4", RAW_SUITE), ("vliw4", VLIW_SUITE)])
     def test_suite_fingerprints_survive_json_round_trip(self, spec, suite):

@@ -11,7 +11,7 @@ import pytest
 
 from repro.ir import RegionBuilder
 from repro.schedulers import ListScheduler
-from repro.schedulers.schedule import CommEvent, Schedule, ScheduledOp
+from repro.schedulers.schedule import Schedule, ScheduledOp
 from repro.sim import SimulationError, simulate
 
 from .conftest import build_dot_region

@@ -1,10 +1,8 @@
 """Unit tests for Raw static-network switch code generation."""
 
-import pytest
 
 from repro.core import ConvergentScheduler
 from repro.ir import RegionBuilder
-from repro.machine import RawMachine
 from repro.machine.switchgen import (
     Port,
     generate_switch_code,

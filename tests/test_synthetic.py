@@ -1,6 +1,5 @@
 """Unit tests for the synthetic graph families (Figure 2)."""
 
-import pytest
 
 from repro.analysis import graph_shape
 from repro.workloads import fat_graph, layered_graph, thin_graph

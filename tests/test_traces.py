@@ -1,6 +1,5 @@
 """Unit tests for trace formation and trace-to-region lowering."""
 
-import pytest
 
 from repro.core import ConvergentScheduler
 from repro.ir import ControlFlowGraph, Opcode, Stmt, form_traces, program_from_cfg

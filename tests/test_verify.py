@@ -36,12 +36,10 @@ from repro.ir.opcode import Opcode
 from repro.machine import ClusteredVLIW, RawMachine
 from repro.schedulers.base import Scheduler
 from repro.schedulers.schedule import Schedule
-from repro.sim import SimulationError
 from repro.verify import (
     DIAGNOSTIC_CODES,
     ERROR,
     WARNING,
-    Diagnostic,
     VerificationError,
     VerificationReport,
     analyze_pass,
@@ -621,8 +619,6 @@ class TestSweep:
     def test_registry_covers_all_schedulers(self):
         registry = scheduler_registry()
         assert set(registry) == {
-            "anneal",
-            "cars",
             "convergent",
             "fallback",
             "pcc",
@@ -636,7 +632,8 @@ class TestSweep:
     def test_representative_sweep_is_clean(self, vliw, raw):
         report = run_sweep(machines=[vliw, raw], benchmarks=["vvmul"])
         assert report.ok, report.render()
-        assert len(report.verified) >= 14
+        # Every cell but the single-cluster baseline's two verifies.
+        assert len(report.verified) >= 2 * (len(scheduler_registry()) - 1)
         # Only the single-cluster baseline may decline (preplaced ops).
         assert {c.scheduler for c in report.skipped} <= {"single"}
         assert "verification sweep" in report.render()

@@ -34,7 +34,6 @@ class TestConstruction:
         g = DataDependenceGraph()
         a = g.new_instruction(Opcode.LOAD)
         g.new_instruction(Opcode.FADD, (a.uid,))
-        from repro.ir.regions import Region
 
         m = PreferenceMatrix.for_region(g, n_clusters=2)
         assert m.n_time_slots == g.critical_path_length()
