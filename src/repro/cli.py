@@ -100,7 +100,7 @@ from .observability import (
 from .sim import simulate
 from .verify import make_scheduler, scheduler_registry
 from .workloads import KERNELS, RAW_SUITE, VLIW_SUITE, build_benchmark, suite_for_machine
-from .workloads.suite import MACHINES, QUICK_SUITE
+from .workloads.suite import BASELINE_SCHEDULER, MACHINES, QUICK_SUITE, baseline_machine
 
 if TYPE_CHECKING:  # pragma: no cover - imported lazily at run time
     from .engine import CompilationEngine
@@ -171,12 +171,22 @@ def _cmd_list(args: argparse.Namespace) -> int:
 
 
 def _cmd_schedule(args: argparse.Namespace) -> int:
-    machine = parse_machine(args.machine)
+    requested = parse_machine(args.machine)
+    # The baseline scheduler targets one cluster; like bench and the
+    # paper tables, run it on the 1-cluster machine of the same family.
+    machine = (
+        baseline_machine(requested)
+        if args.scheduler == BASELINE_SCHEDULER
+        else requested
+    )
     program = build_benchmark(args.benchmark, machine)
     scheduler = make_scheduler(args.scheduler, args.seed)
     result = run_program(program, machine, scheduler)
+    where = machine.name
+    if machine.name != requested.name:
+        where += f" (the 1-cluster baseline for {requested.name})"
     print(
-        f"{args.benchmark} on {machine.name} with {args.scheduler}: "
+        f"{args.benchmark} on {where} with {args.scheduler}: "
         f"{result.cycles} cycles, {result.transfers} transfers, "
         f"compiled in {result.compile_seconds * 1000:.1f} ms"
         + ("" if result.ok else f"  [status: {result.status}]")

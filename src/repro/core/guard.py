@@ -17,10 +17,12 @@ runs under a :class:`PassGuard`:
    of the run — so iterative application does not pay for a known-bad
    heuristic every round.
 
-On the happy path the guard only adds a checkpoint copy and a health
-scan; it never changes what a well-behaved sequence computes, so guarded
-scheduling is cycle-for-cycle identical to unguarded scheduling when no
-pass misbehaves.
+On the happy path the guard only adds a checkpoint copy, a health scan
+and a post-pass normalize that divides only the rows not already
+summing to exactly 1.0 (most rows: the pass's kernel normalized just
+before); it never changes what a well-behaved sequence computes, so
+guarded scheduling is cycle-for-cycle identical to unguarded scheduling
+when no pass misbehaves.
 """
 
 from __future__ import annotations

@@ -27,7 +27,7 @@ not merely statistically equivalent ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -123,6 +123,35 @@ def _csr(lists: Sequence[Sequence[int]]) -> tuple:
     return indptr, np.asarray(flat, dtype=np.int64)
 
 
+def _grand_csr(adj_indptr: np.ndarray, adj_indices: np.ndarray, n: int) -> tuple:
+    """Two-hop neighbourhoods as CSR: sorted, without the node or its neighbours.
+
+    Every path ``i -> nb -> j`` becomes the key ``i * n + j``; sorting
+    the keys, dropping repeats and dropping the direct-edge keys leaves
+    each row's grand set in ascending order, exactly what a per-node
+    Python set, sorted, gives.
+    """
+    degree = np.diff(adj_indptr)
+    src = np.repeat(np.arange(n, dtype=np.int64), degree)
+    counts = degree[adj_indices]
+    starts = adj_indptr[adj_indices]
+    flat = np.repeat(starts - (np.cumsum(counts) - counts), counts) + np.arange(
+        int(counts.sum()), dtype=np.int64
+    )
+    two_src = np.repeat(src, counts)
+    two_dst = adj_indices[flat]
+    keys = np.sort((two_src * n + two_dst)[two_dst != two_src])
+    if keys.size:
+        keys = keys[np.concatenate(([True], keys[1:] != keys[:-1]))]
+    direct = np.sort(src * n + adj_indices)
+    if direct.size:
+        at = np.minimum(np.searchsorted(direct, keys), direct.size - 1)
+        keys = keys[direct[at] != keys]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
+
+
 def build_region_index(ddg: DataDependenceGraph, machine: Machine) -> "RegionIndex":
     """Precompute the :class:`RegionIndex` for one region.
 
@@ -143,17 +172,10 @@ def build_region_index(ddg: DataDependenceGraph, machine: Machine) -> "RegionInd
 
     adj_lists = [ddg.neighbors(i) for i in range(n)]
     adj_indptr, adj_indices = _csr(adj_lists)
-    grand_lists: List[List[int]] = []
-    for i in range(n):
-        grand: set = set()
-        for nb in adj_lists[i]:
-            grand.update(adj_lists[nb])
-        grand.discard(i)
-        grand.difference_update(adj_lists[i])
-        grand_lists.append(sorted(grand))
-    grand_indptr, grand_indices = _csr(grand_lists)
+    grand_indptr, grand_indices = _grand_csr(adj_indptr, adj_indices, n)
 
-    succ_lists = [[e.dst for e in ddg.successors(i)] for i in range(n)]
+    succ_edges = [ddg.successors(i) for i in range(n)]
+    succ_lists = [[e.dst for e in edges] for edges in succ_edges]
     pred_lists = [[e.src for e in ddg.predecessors(i)] for i in range(n)]
     succ_indptr, succ_indices = _csr(succ_lists)
     pred_indptr, pred_indices = _csr(pred_lists)
@@ -170,7 +192,7 @@ def build_region_index(ddg: DataDependenceGraph, machine: Machine) -> "RegionInd
         pseudo[uid] = inst.is_pseudo
         if inst.defines_value and not inst.is_pseudo:
             reg_mask[uid] = True
-            consumers = [e.dst for e in ddg.successors(uid) if e.carries_value]
+            consumers = [e.dst for e in succ_edges[uid] if e.carries_value]
             last_use = max((lv[c] for c in consumers), default=lv[uid])
             reg_span[uid] = max(1, last_use - lv[uid] + 1)
     reg_horizon = max(lv) + 1 if lv else 1
@@ -293,21 +315,20 @@ def grouped_hop_distances(
     key = gsrc * n + node
     flat_dist[key] = 0
     owner = np.empty(k * n, dtype=np.int64)
+    degree = np.diff(indptr)
     cap = n if max_depth is None else min(max_depth, n)
     depth = 0
     while key.size and depth < cap:
         node = key % n
-        counts = indptr[node + 1] - indptr[node]
+        counts = degree[node]
         total = int(counts.sum())
         if total == 0:
             break
-        starts = indptr[node]
-        exclusive = np.cumsum(counts) - counts
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - np.repeat(exclusive, counts)
-            + np.repeat(starts, counts)
-        )
+        # Position of each frontier node's j-th neighbour in ``indices``:
+        # its row start plus j, where j counts up from the node's first
+        # slot in the flattened expansion.
+        shift = indptr[node] - (np.cumsum(counts) - counts)
+        flat = np.repeat(shift, counts) + np.arange(total, dtype=np.int64)
         key = np.repeat(key - node, counts) + indices[flat]
         key = key[flat_dist[key] > depth + 1]
         if key.size == 0:
@@ -653,12 +674,19 @@ def pathprop_kernel(
     The walk structure depends only on the *pre-pass* confidences, the
     graph, and preplacement — never on weights mutated mid-pass — so
     each source's down/up walk is computed as a Python chain over the
-    index's edge lists.  The blends ``W[r] = keep·W[r] +
-    (1-keep)·W[source]`` of consecutive walks are batched across
-    sources into one fancy-indexed assignment (``_flush``) while no
-    blend can observe another, so every source still reads what the
-    sequential reference gives it: an earlier source's blends
-    legitimately change what a later source propagates.
+    index's edge lists (as plain lists: a list read is cheaper than a
+    numpy scalar).  The blends ``W[r] = keep·W[r] + (1-keep)·W[source]``
+    of consecutive walks are batched across sources into one
+    fancy-indexed blend (``_flush``) while no blend can observe another,
+    so every source still reads what the sequential reference gives it:
+    an earlier source's blends legitimately change what a later source
+    propagates.
+
+    Sources are the finite confidences above ``threshold`` in uid order,
+    then the preplaced uids not already among them, in ``preplaced``
+    order; one stable sort by descending ``min(conf, 1e9)`` orders them,
+    so ties keep that order, exactly as the reference's stable
+    ``list.sort`` does.
 
     Args:
         index: The region's :class:`RegionIndex`.
@@ -667,27 +695,30 @@ def pathprop_kernel(
             become a propagation source.
     """
     conf = matrix.confidences()
-    sources = [
-        i
-        for i in range(index.n)
-        if conf[i] > threshold and not np.isinf(conf[i])
-    ]
-    seen = set(sources)
-    sources.extend(i for i in index.preplaced.tolist() if i not in seen)
-    sources.sort(key=lambda i: -min(conf[i], 1e9))
-    if not sources:
+    picked = (conf > threshold) & ~np.isinf(conf)
+    pre = index.preplaced
+    candidates = np.concatenate([np.flatnonzero(picked), pre[~picked[pre]]])
+    if candidates.size == 0:
         matrix.normalize()
         return
-    down = _first_min_steps(index.succ_indptr, index.succ_indices, conf, index)
-    up = _first_min_steps(index.pred_indptr, index.pred_indices, conf, index)
+    order = np.argsort(-np.minimum(conf[candidates], 1e9), kind="stable")
+    sources: List[int] = candidates[order].tolist()
+    down = tuple(
+        a.tolist()
+        for a in _first_min_steps(index.succ_indptr, index.succ_indices, conf, index)
+    )
+    up = tuple(
+        a.tolist()
+        for a in _first_min_steps(index.pred_indptr, index.pred_indices, conf, index)
+    )
+    source_conf: List[float] = conf.tolist()
     w = matrix.data
     keep = 0.5
     # Blends from consecutive sources are batched into one fancy-indexed
-    # assignment while they cannot observe each other: numpy evaluates
-    # the whole right-hand side from pre-batch weights, which matches
-    # the sequential reference as long as (a) no row is written twice in
-    # a batch and (b) no batch source's own row was written earlier in
-    # the batch.  Either conflict flushes first, so every source still
+    # blend while they cannot observe each other: both operands are
+    # gathered from pre-batch weights, which matches the sequential
+    # reference as long as (a) no row is written twice in a batch and
+    # (b) no batch source's own row was written earlier in the batch.  Either conflict flushes first, so every source still
     # reads exactly what the reference would have it read.
     pend_rows: List[int] = []
     pend_src: List[int] = []
@@ -697,15 +728,23 @@ def pathprop_kernel(
         if pend_rows:
             idx = np.asarray(pend_rows, dtype=np.int64)
             src = np.asarray(pend_src, dtype=np.int64)
-            w[idx] = keep * w[idx] + (1.0 - keep) * w[src]
+            # ``keep·W[idx] + (1-keep)·W[src]`` with the same two
+            # products and one sum per element, computed in the two
+            # gathered buffers instead of three more temporaries.
+            blended = w[idx]
+            blended *= keep
+            incoming = w[src]
+            incoming *= 1.0 - keep
+            blended += incoming
+            w[idx] = blended
             matrix.touch()
         pend_rows.clear()
         pend_src.clear()
         written.clear()
 
     for source in sources:
-        rows = _pathprop_walk(down, source, conf[source])
-        rows += _pathprop_walk(up, source, conf[source])
+        rows = _pathprop_walk(down, source, source_conf[source])
+        rows += _pathprop_walk(up, source, source_conf[source])
         # Down-walk rows are descendants and up-walk rows ancestors, so
         # the combined row set is distinct and excludes the source.
         if not rows:
@@ -760,7 +799,11 @@ def _first_min_steps(
 
 
 def _pathprop_walk(steps: tuple, source: int, source_conf: float) -> List[int]:
-    """The chain of uids a PATHPROP source blends into, in walk order."""
+    """The chain of uids a PATHPROP source blends into, in walk order.
+
+    ``steps`` is the ``(next, next_conf)`` pair from
+    :func:`_first_min_steps`, as arrays or as lists.
+    """
     nxt, nxt_conf = steps
     walk: List[int] = []
     visited = {source}
@@ -771,7 +814,7 @@ def _pathprop_walk(steps: tuple, source: int, source_conf: float) -> List[int]:
         # each step's filter at the source, not the previous hop).
         if not nxt_conf[current] < source_conf:
             break
-        step = int(nxt[current])
+        step = nxt[current]
         if step in visited:
             break
         visited.add(step)
@@ -838,68 +881,77 @@ def _distribute_band_kernel(
     threshold: float,
     boost: float,
 ) -> None:
-    """Allocate one band's instructions to bins and boost accordingly."""
+    """Allocate one band's instructions to bins and boost accordingly.
+
+    Only distances *to band members* ever decide an allocation, so the
+    per-bin distances are kept over the band's ``k`` columns, not all
+    ``n`` nodes, and members are tracked by their position in ``band``.
+    """
     n, n_bins = index.n, index.n_clusters
     members = band.tolist()
+    homes = index.homes[band].tolist()
+    confident = (confidences[band] > threshold).tolist()
     bins: List[List[int]] = [[] for _ in range(n_bins)]
-    remaining: List[int] = []
-    for uid in members:
-        home = int(index.homes[uid])
-        if home >= 0:
-            bins[home].append(uid)
-        elif confidences[uid] > threshold:
-            bins[preferred[uid]].append(uid)
+    remaining = np.zeros(len(members), dtype=bool)
+    for pos, uid in enumerate(members):
+        if homes[pos] >= 0:
+            bins[homes[pos]].append(pos)
+        elif confident[pos]:
+            bins[preferred[uid]].append(pos)
         else:
-            remaining.append(uid)
+            remaining[pos] = True
 
     # One BFS row per band member, all in a single batched sweep.  The
     # depth cap mirrors the reference: beyond the granularity ball the
     # exact distance only breaks far-candidate ties, which matter on
-    # small graphs but are capped on big ones.
+    # small graphs but are capped on big ones.  pair[p, q] is the hop
+    # distance from member p to member q.
     max_depth = granularity + 2 if n > 400 else None
-    row_of: Dict[int, int] = {uid: k for k, uid in enumerate(members)}
-    rows = region_hop_distances(
-        index, [[uid] for uid in members], max_depth
-    ).astype(np.float64)
+    pair = region_hop_distances(index, [[uid] for uid in members], max_depth)[
+        :, band
+    ].astype(np.float64)
 
     # bin_dist[b] == multi-source BFS distances of bins[b] (inf when the
-    # bin is empty), maintained by elementwise min as members join;
-    # closest[i] == min over bins, maintained the same way (both only
-    # ever decrease, so incremental minima stay exact).
-    bin_dist = np.full((n_bins, n), np.inf)
+    # bin is empty), maintained by elementwise min as members join (it
+    # only ever decreases, so the incremental minimum stays exact).
+    bin_dist = np.full((n_bins, len(members)), np.inf)
     for b, seeded in enumerate(bins):
         if seeded:
-            np.min(
-                rows[[row_of[uid] for uid in seeded]], axis=0, out=bin_dist[b]
-            )
-    closest = bin_dist.min(axis=0)
+            np.min(pair[seeded], axis=0, out=bin_dist[b])
 
+    # While some remaining member is far from every bin, the reference
+    # deals bins round-robin.  A member's distance to its closest bin
+    # only falls, so the far set only shrinks: a join keeps the far
+    # members that are also far from the joined bin.
+    far = remaining & (bin_dist.min(axis=0) > granularity)
     rr = 0
-    while remaining:
-        rem = np.asarray(remaining, dtype=np.int64)
-        far_mask = closest[rem] > granularity
-        if far_mask.any():
-            b = rr % n_bins
-            rr += 1
-            far = rem[far_mask]
-            if not bins[b]:
-                chosen = int(far[0])
-            else:
-                chosen = int(far[np.argmin(bin_dist[b, far])])
+    while far.any():
+        b = rr % n_bins
+        rr += 1
+        if not bins[b]:
+            chosen = int(far.argmax())  # the first far member
         else:
-            # Every remaining uid is near some bin; the reference takes
-            # them in remaining order, joining the closest bin (lowest
-            # index on ties — argmin over inf-padded rows matches).
-            chosen = remaining[0]
-            b = int(np.argmin(bin_dist[:, chosen]))
+            # The first far member at the bin's minimum distance (a
+            # non-empty bin's distances are finite, so the inf padding
+            # of the others never wins).
+            chosen = int(np.argmin(np.where(far, bin_dist[b], np.inf)))
         bins[b].append(chosen)
-        np.minimum(bin_dist[b], rows[row_of[chosen]], out=bin_dist[b])
-        np.minimum(closest, bin_dist[b], out=closest)
-        remaining.remove(chosen)
+        np.minimum(bin_dist[b], pair[chosen], out=bin_dist[b])
+        remaining[chosen] = False
+        far &= bin_dist[b] > granularity
+        far[chosen] = False
+
+    # Every remaining member is now near some bin and stays near; the
+    # reference takes them in band order, joining the closest bin
+    # (lowest index on ties — argmin over inf-padded rows matches).
+    for chosen in np.flatnonzero(remaining).tolist():
+        b = int(np.argmin(bin_dist[:, chosen]))
+        bins[b].append(chosen)
+        np.minimum(bin_dist[b], pair[chosen], out=bin_dist[b])
 
     w = matrix.data
-    for b, bin_members in enumerate(bins):
-        if bin_members:
+    for b, positions in enumerate(bins):
+        if positions:
             _require_nonnegative(boost)
-            w[np.asarray(bin_members, dtype=np.int64), b, :] *= boost
+            w[band[positions], b, :] *= boost
     matrix.touch()

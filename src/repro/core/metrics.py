@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, List, Optional
 
+import numpy as np
+
 from .weights import PreferenceMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -85,6 +87,12 @@ class PassRecord:
 TEMPORAL_ONLY_PASSES = frozenset({"INITTIME", "EMPHCP"})
 
 
+def _preferred(matrix: PreferenceMatrix) -> np.ndarray:
+    """Preferred cluster of every instruction, as an ``(N,)`` array."""
+    preferred: np.ndarray = np.argmax(matrix.cluster_marginals(), axis=1)
+    return preferred
+
+
 @dataclass
 class ConvergenceTrace:
     """Preferred-cluster churn across a pass sequence."""
@@ -94,11 +102,13 @@ class ConvergenceTrace:
     #: Guard interventions (rollbacks, quarantines) in execution order;
     #: empty on a fault-free run.
     guard_events: List["GuardEvent"] = field(default_factory=list)
-    _last_preferred: Optional[List[int]] = None
+    #: Preferred clusters after the last observed pass (private state,
+    #: left out of ``==`` because an array has no single truth value).
+    _last_preferred: Optional[np.ndarray] = field(default=None, compare=False)
 
     def observe_initial(self, matrix: PreferenceMatrix) -> None:
         """Record the preferred clusters before any pass runs."""
-        self._last_preferred = matrix.preferred_clusters()
+        self._last_preferred = _preferred(matrix)
         if self.keep_snapshots:
             self.records.append(
                 PassRecord("initial", 0.0, snapshot=matrix.copy())
@@ -116,13 +126,13 @@ class ConvergenceTrace:
             The appended :class:`PassRecord`, which the caller may
             enrich further (e.g. with tracer-derived wall time).
         """
-        preferred = matrix.preferred_clusters()
-        if self._last_preferred is None or not preferred:
+        preferred = _preferred(matrix)
+        if self._last_preferred is None or not preferred.size:
             changed = 0.0
         else:
-            changed = sum(
-                1 for a, b in zip(self._last_preferred, preferred) if a != b
-            ) / len(preferred)
+            changed = (
+                int(np.count_nonzero(self._last_preferred != preferred)) / preferred.size
+            )
         self._last_preferred = preferred
         record = PassRecord(
             pass_name=pass_name,

@@ -24,6 +24,14 @@ import numpy as np
 
 from ..ir.ddg import DataDependenceGraph
 
+#: :meth:`PreferenceMatrix.normalize` divides the whole array once at
+#: least this fraction of its rows does not already sum to exactly 1.0.
+DIVIDE_ALL_FRACTION = 0.25
+
+#: Weights per gathered block when :meth:`PreferenceMatrix.normalize`
+#: divides only some rows (512 KiB of float64).
+NORMALIZE_BLOCK_ELEMENTS = 1 << 16
+
 
 class PreferenceMatrix:
     """Preference weights ``W[i, c, t]`` for one scheduling region.
@@ -218,13 +226,15 @@ class PreferenceMatrix:
         """Preferred cluster of every instruction (vectorized)."""
         if self.n_instructions == 0:
             return []
-        return list(np.argmax(self.cluster_marginals(), axis=1))
+        preferred: List[int] = np.argmax(self.cluster_marginals(), axis=1).tolist()
+        return preferred
 
     def preferred_times(self) -> List[int]:
         """Preferred time slot of every instruction (vectorized)."""
         if self.n_instructions == 0:
             return []
-        return list(np.argmax(self.time_marginals(), axis=1))
+        preferred: List[int] = np.argmax(self.time_marginals(), axis=1).tolist()
+        return preferred
 
     def runnerup_cluster(self, i: int) -> Optional[int]:
         """The second-choice cluster of ``i``; ``None`` on 1-cluster machines."""
@@ -412,16 +422,32 @@ class PreferenceMatrix:
 
         Instructions whose weights have been squashed to all-zero are
         reset to uniform, so no instruction is ever left unschedulable.
+
+        Rows whose sum is exactly 1.0 are left alone: ``x / 1.0 == x``
+        in IEEE arithmetic, so skipping them is exact.  Most rows arrive
+        that way (a pass's kernel normalizes just before the guard's
+        post-pass normalize), so only the others are divided — unless at
+        least :data:`DIVIDE_ALL_FRACTION` of the rows need it, when one
+        in-place divide of the whole array is cheaper than a gather.
         """
         if self._row_sums is not None:
-            sums = self._row_sums.reshape(-1, 1, 1)
+            sums = self._row_sums
         else:
-            sums = self._w.sum(axis=(1, 2), keepdims=True)
-        zero = sums[:, 0, 0] <= 0.0
+            sums = self._w.sum(axis=(1, 2))
+        zero = sums <= 0.0
         if np.any(zero):
             self._w[zero] = 1.0 / (self.n_clusters * self.n_time_slots)
-            sums = self._w.sum(axis=(1, 2), keepdims=True)
-        self._w /= sums
+            sums = self._w.sum(axis=(1, 2))
+        off = np.flatnonzero(sums != 1.0)
+        if off.size >= DIVIDE_ALL_FRACTION * sums.size:
+            self._w /= sums.reshape(-1, 1, 1)
+        else:
+            # Gather in blocks of about NORMALIZE_BLOCK_ELEMENTS weights,
+            # so the temporary stays small next to the matrix.
+            block = max(1, NORMALIZE_BLOCK_ELEMENTS // (self.n_clusters * self.n_time_slots))
+            for at in range(0, off.size, block):
+                rows = off[at : at + block]
+                self._w[rows] /= sums[rows].reshape(-1, 1, 1)
         self.touch()
 
     def check_invariants(self, tolerance: float = 1e-9) -> None:

@@ -16,7 +16,7 @@ mutation invalidates the caches.
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .instruction import DependenceEdge, Instruction
 from .opcode import LatencyModel, Opcode
@@ -55,6 +55,7 @@ class DataDependenceGraph:
         self._cpl: Optional[int] = None
         self._levels: Optional[List[int]] = None
         self._adjacency: Optional[List[List[int]]] = None
+        self._instruction_view: Optional[Tuple[Instruction, ...]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -119,6 +120,7 @@ class DataDependenceGraph:
         self._cpl = None
         self._levels = None
         self._adjacency = None
+        self._instruction_view = None
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -132,22 +134,31 @@ class DataDependenceGraph:
 
     def instruction(self, uid: int) -> Instruction:
         """Return the instruction with the given ``uid``."""
-        self._check_uid(uid)
+        if not 0 <= uid < len(self._instructions):
+            self._check_uid(uid)
         return self._instructions[uid]
 
     @property
     def instructions(self) -> Sequence[Instruction]:
-        """All instructions, indexed by uid."""
-        return tuple(self._instructions)
+        """All instructions, indexed by uid.
+
+        An immutable tuple, memoized until the next mutation, so hot
+        loops may read it instead of calling :meth:`instruction`.
+        """
+        if self._instruction_view is None:
+            self._instruction_view = tuple(self._instructions)
+        return self._instruction_view
 
     def successors(self, uid: int) -> List[DependenceEdge]:
         """Outgoing edges of ``uid``."""
-        self._check_uid(uid)
+        if not 0 <= uid < len(self._instructions):
+            self._check_uid(uid)
         return list(self._succ[uid])
 
     def predecessors(self, uid: int) -> List[DependenceEdge]:
         """Incoming edges of ``uid``."""
-        self._check_uid(uid)
+        if not 0 <= uid < len(self._instructions):
+            self._check_uid(uid)
         return list(self._pred[uid])
 
     def neighbors(self, uid: int) -> List[int]:
@@ -221,7 +232,9 @@ class DataDependenceGraph:
             est = [0] * len(self)
             for u in self.topological_order():
                 for e in self._succ[u]:
-                    est[e.dst] = max(est[e.dst], est[u] + e.latency)
+                    reach = est[u] + e.latency
+                    if reach > est[e.dst]:
+                        est[e.dst] = reach
             self._earliest = est
         return list(self._earliest)
 
@@ -231,7 +244,9 @@ class DataDependenceGraph:
             tail = [0] * len(self)
             for u in reversed(self.topological_order()):
                 for e in self._succ[u]:
-                    tail[u] = max(tail[u], e.latency + tail[e.dst])
+                    reach = e.latency + tail[e.dst]
+                    if reach > tail[u]:
+                        tail[u] = reach
             self._tail = tail
         return list(self._tail)
 
@@ -267,7 +282,8 @@ class DataDependenceGraph:
             lv = [0] * len(self)
             for u in self.topological_order():
                 for e in self._succ[u]:
-                    lv[e.dst] = max(lv[e.dst], lv[u] + 1)
+                    if lv[u] + 1 > lv[e.dst]:
+                        lv[e.dst] = lv[u] + 1
             self._levels = lv
         return list(self._levels)
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .opcode import FuncClass, Opcode, func_class, is_memory, is_pseudo
+from .opcode import FuncClass, Opcode
 
 
 @dataclass
@@ -58,22 +58,22 @@ class Instruction:
     @property
     def func_class(self) -> FuncClass:
         """The functional class this instruction executes on."""
-        return func_class(self.opcode)
+        return self.opcode.func_class
 
     @property
     def is_memory(self) -> bool:
         """True for loads and stores."""
-        return is_memory(self.opcode)
+        return self.opcode.is_memory
 
     @property
     def is_pseudo(self) -> bool:
         """True for live-in/live-out markers that occupy no functional unit."""
-        return is_pseudo(self.opcode)
+        return self.opcode.is_pseudo
 
     @property
     def defines_value(self) -> bool:
         """True if this instruction produces a register value."""
-        return self.opcode not in (Opcode.STORE, Opcode.LIVE_OUT)
+        return self.opcode.defines_value
 
     def label(self) -> str:
         """A short printable label, e.g. ``"12:fmul"``."""

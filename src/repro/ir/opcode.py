@@ -64,6 +64,15 @@ class Opcode(enum.Enum):
     LIVE_IN = "live_in"
     LIVE_OUT = "live_out"
 
+    # Per-member facts, set once at import below :data:`FUNC_CLASS` (they
+    # are annotations without values, so not members).  Reading one is an
+    # attribute load; a dict keyed by the member would hash it through
+    # the Python-level ``Enum.__hash__`` on every query.
+    func_class: FuncClass
+    is_memory: bool
+    is_pseudo: bool
+    defines_value: bool
+
 
 #: Map from opcode to the functional class that executes it.
 FUNC_CLASS: Dict[Opcode, FuncClass] = {
@@ -92,6 +101,12 @@ FUNC_CLASS: Dict[Opcode, FuncClass] = {
     Opcode.LIVE_IN: FuncClass.PSEUDO,
     Opcode.LIVE_OUT: FuncClass.PSEUDO,
 }
+
+for _opcode, _func_class in FUNC_CLASS.items():
+    _opcode.func_class = _func_class
+    _opcode.is_memory = _func_class is FuncClass.MEM
+    _opcode.is_pseudo = _func_class is FuncClass.PSEUDO
+    _opcode.defines_value = _opcode not in (Opcode.STORE, Opcode.LIVE_OUT)
 
 
 @dataclass(frozen=True)
@@ -150,14 +165,14 @@ class LatencyModel:
 
 def func_class(opcode: Opcode) -> FuncClass:
     """Return the functional class of ``opcode``."""
-    return FUNC_CLASS[opcode]
+    return opcode.func_class
 
 
 def is_memory(opcode: Opcode) -> bool:
     """True for loads and stores."""
-    return FUNC_CLASS[opcode] is FuncClass.MEM
+    return opcode.is_memory
 
 
 def is_pseudo(opcode: Opcode) -> bool:
     """True for region-boundary pseudo-ops that occupy no functional unit."""
-    return FUNC_CLASS[opcode] is FuncClass.PSEUDO
+    return opcode.is_pseudo

@@ -46,11 +46,27 @@ def feasible_clusters(inst: Instruction, machine: Machine) -> List[int]:
     feasibility table (:attr:`~repro.machine.machine.Machine.class_clusters`)
     records it.
     """
+    return list(legal_clusters(inst, machine))
+
+
+def legal_clusters(inst: Instruction, machine: Machine) -> Tuple[int, ...]:
+    """:func:`feasible_clusters` as a tuple, without building a list.
+
+    The feasibility table's own tuple is returned when no pin applies,
+    so a hot loop that only tests membership copies nothing.
+
+    Args:
+        inst: The instruction to place.
+        machine: The target machine model.
+
+    Returns:
+        The legal cluster indices, in ascending order.
+    """
     if inst.home_cluster is not None:
-        return [inst.home_cluster]
+        return (inst.home_cluster,)
     if inst.is_memory and inst.bank is not None and machine.memory_affinity == "hard":
-        return [machine.bank_home(inst.bank)]
-    return list(machine.class_clusters[inst.func_class])
+        return (machine.bank_home(inst.bank),)
+    return machine.class_clusters[inst.func_class]
 
 
 def effective_latency(inst: Instruction, cluster: int, machine: Machine) -> int:
@@ -137,20 +153,19 @@ class ListScheduler:
             arrivals={},
         )
 
-        unscheduled_preds = {
-            i: len(ddg.predecessors(i)) for i in range(len(ddg))
-        }
+        instructions = ddg.instructions
+        unscheduled_preds = [len(ddg.predecessors(i)) for i in range(len(ddg))]
 
         def sort_key(uid: int) -> Tuple[float, int, int]:
             return (priorities.get(uid, 0.0), -tail[uid], uid)
 
         # The key is unique through ``uid``, so the heap pops exactly the
         # order a full sort of the ready list would.
-        ready = [sort_key(i) for i, n in unscheduled_preds.items() if n == 0]
+        ready = [sort_key(i) for i, n in enumerate(unscheduled_preds) if n == 0]
         heapq.heapify(ready)
         while ready:
             uid = heapq.heappop(ready)[2]
-            inst = ddg.instruction(uid)
+            inst = instructions[uid]
             cluster = self._pick_cluster(inst, ddg, machine, assignment, state)
             self._place(inst, cluster, ddg, machine, state)
             for edge in ddg.successors(uid):
@@ -178,7 +193,7 @@ class ListScheduler:
         assignment: Optional[Mapping[int, int]],
         state: _State,
     ) -> int:
-        candidates = feasible_clusters(inst, machine)
+        candidates = legal_clusters(inst, machine)
         if not candidates:
             raise SchedulingError(f"no feasible cluster for {inst.label()}")
         if assignment is not None:
@@ -188,7 +203,7 @@ class ListScheduler:
             if chosen not in candidates:
                 raise SchedulingError(
                     f"assignment places {inst.label()} on cluster {chosen}, "
-                    f"feasible set is {candidates}"
+                    f"feasible set is {list(candidates)}"
                 )
             return chosen
         if len(candidates) == 1:
@@ -227,9 +242,10 @@ class ListScheduler:
         data operands are booked into the reservation table.
         """
         earliest = 0
+        instructions = ddg.instructions
         for edge in ddg.predecessors(inst.uid):
             src = edge.src
-            if edge.carries_value and ddg.instruction(src).defines_value:
+            if edge.carries_value and instructions[src].defines_value:
                 ready = self._value_arrival(src, cluster, machine, state, commit)
             else:
                 # Ordering edge: issue-to-issue spacing by edge latency.

@@ -42,9 +42,10 @@ class ReservationTable:
         Models a pipelined traversal: the transfer's head occupies each
         resource on successive cycles.
         """
+        busy = self._busy
         s = earliest
         while s < earliest + horizon:
-            if all(self.is_free(k, s + off) for off, k in enumerate(keys)):
+            if all((k, s + off) not in busy for off, k in enumerate(keys)):
                 return s
             s += 1
         raise RuntimeError("no free pipeline slot within horizon")
@@ -68,10 +69,11 @@ class ReservationTable:
         """
         if not keys:
             raise ValueError("no candidate resources")
+        busy = self._busy
         s = earliest
         while s < earliest + horizon:
             for k in keys:
-                if self.is_free(k, s):
+                if (k, s) not in busy:
                     return s, k
             s += 1
         raise RuntimeError("no free slot within horizon")

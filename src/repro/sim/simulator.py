@@ -19,7 +19,12 @@ from typing import Dict, List, Optional, Tuple
 from ..ir.regions import Region
 from ..machine.machine import Machine
 from ..observability.tracer import timed
-from ..schedulers.list_scheduler import effective_latency, feasible_clusters
+from ..schedulers.list_scheduler import effective_latency, legal_clusters
+
+# ``feasible_clusters`` is the list form of ``legal_clusters``.  It stays
+# importable here because perfbench/layers.py counts calls to it on every
+# module of the convergent path, this one included.
+from ..schedulers.list_scheduler import feasible_clusters as feasible_clusters
 from ..schedulers.schedule import Schedule
 from .interpreter import evaluate_instruction, reference_values
 
@@ -106,6 +111,30 @@ def simulate(
         return _simulate(region, machine, schedule, strict, check_values)
 
 
+def transfer_arrivals(schedule: Schedule) -> Dict[Tuple[int, int], int]:
+    """Earliest transfer arrival of each value at each cluster it is sent to.
+
+    Maps ``(producer uid, destination cluster)`` to the smallest
+    ``arrival`` among the schedule's transfers of that value to that
+    cluster: the remote half of
+    :meth:`~repro.schedulers.schedule.Schedule.arrival_of`, built in one
+    pass over the transfers instead of one scan per query.
+
+    Args:
+        schedule: The schedule whose transfers are indexed.
+
+    Returns:
+        The arrival index; a pair that no transfer covers is absent.
+    """
+    arrivals: Dict[Tuple[int, int], int] = {}
+    for ev in schedule.comms:
+        key = (ev.producer_uid, ev.dst)
+        known = arrivals.get(key)
+        if known is None or ev.arrival < known:
+            arrivals[key] = ev.arrival
+    return arrivals
+
+
 def _simulate(
     region: Region,
     machine: Machine,
@@ -115,6 +144,7 @@ def _simulate(
 ) -> SimulationReport:
     """The body of :func:`simulate`, run inside its profiling span."""
     ddg = region.ddg
+    instructions = ddg.instructions
     errors: List[str] = []
 
     # ------------------------------------------------------------ cover
@@ -126,13 +156,14 @@ def _simulate(
         errors.append(f"coverage mismatch: missing {missing}, extra {extra}")
 
     # -------------------------------------------------- placement rules
-    for uid in sorted(scheduled & expected):
+    placed = sorted(scheduled & expected)
+    for uid in placed:
         op = schedule.ops[uid]
-        inst = ddg.instruction(uid)
-        feasible = feasible_clusters(inst, machine)
+        inst = instructions[uid]
+        feasible = legal_clusters(inst, machine)
         if op.cluster not in feasible:
             errors.append(
-                f"{inst.label()} on cluster {op.cluster}, feasible {feasible}"
+                f"{inst.label()} on cluster {op.cluster}, feasible {list(feasible)}"
             )
         if op.start < 0:
             errors.append(f"{inst.label()} starts at negative cycle {op.start}")
@@ -146,9 +177,9 @@ def _simulate(
     fu_busy: Dict[Tuple[int, int, int], int] = {}
     cluster_busy: Dict[int, int] = {c: 0 for c in range(machine.n_clusters)}
     real_ops = 0
-    for uid in sorted(scheduled & expected):
+    for uid in placed:
         op = schedule.ops[uid]
-        inst = ddg.instruction(uid)
+        inst = instructions[uid]
         if inst.is_pseudo:
             continue
         real_ops += 1
@@ -208,12 +239,17 @@ def _simulate(
             comm_busy[slot] = idx
 
     # ------------------------------------------------ dependence timing
+    remote = transfer_arrivals(schedule)
     for edge in ddg.edges():
         if edge.src not in schedule.ops or edge.dst not in schedule.ops:
             continue
         src_op, dst_op = schedule.ops[edge.src], schedule.ops[edge.dst]
-        if edge.carries_value and ddg.instruction(edge.src).defines_value:
-            available = schedule.arrival_of(edge.src, dst_op.cluster)
+        if edge.carries_value and instructions[edge.src].defines_value:
+            # Schedule.arrival_of's rule, with the transfers indexed once.
+            if src_op.cluster == dst_op.cluster:
+                available: Optional[int] = src_op.finish
+            else:
+                available = remote.get((edge.src, dst_op.cluster))
             if available is None:
                 errors.append(
                     f"value {edge.src} never reaches cluster {dst_op.cluster} "
@@ -265,6 +301,7 @@ def _replay_dataflow(
 ) -> int:
     """Execute the schedule through per-cluster register files."""
     ddg = region.ddg
+    instructions = ddg.instructions
     reference = reference_values(ddg)
     # Event timeline: (time, order, kind, payload).  Transfers snapshot
     # the source register file at issue and deliver at arrival; ops read
@@ -298,7 +335,7 @@ def _replay_dataflow(
         else:  # instruction execution
             uid = payload
             op = schedule.ops[uid]
-            inst = ddg.instruction(uid)
+            inst = instructions[uid]
             operand_values = []
             for operand in inst.operands:
                 if operand not in files[op.cluster]:

@@ -45,6 +45,17 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "cycle |" in out
 
+    def test_schedule_single_runs_on_the_baseline_machine(self, capsys):
+        """The single-cluster baseline runs where bench runs it: on the
+        1-cluster machine of the family (BENCH_4's vliw4/vvmul/single cell)."""
+        assert main(
+            ["schedule", "--benchmark", "vvmul", "--machine", "vliw4",
+             "--scheduler", "single"]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "vvmul on vliw1 (the 1-cluster baseline for vliw4)" in out
+        assert " 79 cycles" in out and "status" not in out
+
     def test_table2_subset(self, capsys):
         assert main(
             ["table2", "--benchmarks", "jacobi", "--sizes", "4", "--fast"]

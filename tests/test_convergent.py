@@ -207,3 +207,47 @@ class TestGenericMachineFallback:
         result = ConvergentScheduler().converge(region, machine)
         assert simulate(region, machine, result.schedule).ok
         assert len(result.trace.records) == len(GENERIC_SEQUENCE)
+
+
+class TestProductionPathMatchesOracle:
+    """``converge`` as compiles run it — under the PassGuard, with the
+    guard's health scan and post-pass normalize and the convergence
+    trace — against a plain loop of each pass's scalar
+    ``_reference_update`` and ``normalize()``: the final matrices must be
+    byte-identical, so nothing ``converge`` adds around the kernels moves
+    a single bit."""
+
+    @pytest.mark.parametrize("bench", ["cholesky", "vvmul"])
+    @pytest.mark.parametrize(
+        "machine_spec,sequence",
+        [("raw4", RAW_SEQUENCE), ("vliw4", TUNED_VLIW_SEQUENCE)],
+    )
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_converged_matrix_bitwise_equals_reference_loop(
+        self, bench, machine_spec, sequence, seed
+    ):
+        from repro.core.passes import PassContext
+        from repro.core.weights import PreferenceMatrix
+        from repro.machine import machine_from_spec
+        from repro.workloads import build_benchmark
+
+        machine = machine_from_spec(machine_spec)
+        program = build_benchmark(bench, machine)
+        for region in program.regions:
+            scheduler = ConvergentScheduler(passes=list(sequence), seed=seed)
+            result = scheduler.converge(region, machine)
+            assert not result.degraded
+
+            oracle = PreferenceMatrix.for_region(region.ddg, machine.n_clusters)
+            ctx = PassContext(
+                ddg=region.ddg,
+                machine=machine,
+                matrix=oracle,
+                rng=scheduler._region_rng(region),
+            )
+            for spec in sequence:
+                make_pass(spec)._reference_update(ctx)
+                oracle.normalize()
+            assert result.matrix.data.tobytes() == oracle.data.tobytes(), (
+                f"{bench} on {machine_spec}: converge diverged from the oracle"
+            )

@@ -195,3 +195,80 @@ class TestResourceAccounting:
         report = simulate(region, raw16, schedule)
         # Injection port, six directed links, ejection port: one cycle each.
         assert sum(report.resource_busy.values()) == 8
+
+
+class TestTransferIndex:
+    """The simulator indexes transfer arrivals once per run
+    (``transfer_arrivals``) instead of scanning every transfer per value
+    edge; it must read exactly what ``Schedule.arrival_of`` says."""
+
+    @staticmethod
+    def _remote_fadd(vliw4):
+        b = RegionBuilder("r")
+        x = b.li(1.0)
+        y = b.fadd(x, x)
+        b.live_out(y)
+        region = b.build()
+        schedule = ListScheduler().schedule(
+            region, vliw4, assignment={0: 0, 1: 1, 2: 1}
+        )
+        return region, schedule
+
+    @pytest.mark.parametrize("late_first", [True, False])
+    def test_earlier_of_two_transfers_wins(self, vliw4, late_first):
+        from repro.sim.simulator import transfer_arrivals
+
+        region, schedule = self._remote_fadd(vliw4)
+        (early,) = schedule.comms
+        late = dataclasses.replace(
+            early, issue=early.issue + 3, arrival=early.arrival + 3
+        )
+        # The order of the transfer list must not matter.
+        schedule.comms = [late, early] if late_first else [early, late]
+        assert transfer_arrivals(schedule) == {(0, 1): early.arrival}
+        assert schedule.arrival_of(0, 1) == early.arrival
+        report = simulate(region, vliw4, schedule, strict=False)
+        assert report.ok, report.errors
+        # Consuming before the earlier arrival is still caught.
+        too_soon = dataclasses.replace(schedule.ops[1], start=early.arrival - 1)
+        report = simulate(
+            region, vliw4, clone_with_op(schedule, too_soon),
+            strict=False, check_values=False,
+        )
+        assert any(
+            f"before operand 0 arrives at {early.arrival}" in e for e in report.errors
+        )
+
+    def test_value_sent_elsewhere_never_reaches(self, vliw4):
+        region, schedule = self._remote_fadd(vliw4)
+        (ev,) = schedule.comms
+        schedule.comms = [
+            dataclasses.replace(
+                ev, dst=2, resources=tuple(vliw4.comm_resources(0, 2))
+            )
+        ]
+        report = simulate(region, vliw4, schedule, strict=False, check_values=False)
+        assert (
+            "value 0 never reaches cluster 1 needed by instruction 1" in report.errors
+        )
+
+    @pytest.mark.parametrize("spec", ["raw4x4", "vliw4"])
+    def test_index_matches_arrival_of_on_every_suite_schedule(self, spec):
+        from repro.core import ConvergentScheduler
+        from repro.machine import machine_from_spec
+        from repro.sim.simulator import transfer_arrivals
+        from repro.workloads import build_benchmark, suite_for_machine
+
+        machine = machine_from_spec(spec)
+        for name in suite_for_machine(machine):
+            for region in build_benchmark(name, machine).regions:
+                schedule = ConvergentScheduler().schedule(region, machine)
+                index = transfer_arrivals(schedule)
+                for uid, op in schedule.ops.items():
+                    for cluster in range(machine.n_clusters):
+                        expected = schedule.arrival_of(uid, cluster)
+                        if cluster == op.cluster:
+                            assert expected == op.finish
+                        else:
+                            assert index.get((uid, cluster)) == expected
+                assert simulate(region, machine, schedule).ok

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import PreferenceMatrix
 from repro.ir import DataDependenceGraph, Opcode
@@ -263,3 +264,84 @@ class TestMarginalCaching:
         lines = text.splitlines()
         assert len(lines) == 3
         assert all("|" in line for line in lines)
+
+
+def _literal_normalize(w):
+    """The normalize rule written out: zero rows to uniform, then divide
+    every row by its sum."""
+    out = w.copy()
+    zero = out.sum(axis=(1, 2)) <= 0.0
+    out[zero] = 1.0 / (out.shape[1] * out.shape[2])
+    return out / out.sum(axis=(1, 2), keepdims=True)
+
+
+@st.composite
+def _weight_arrays(draw):
+    """Non-negative ``(N, C, T)`` weights mixing four kinds of row:
+    arbitrary ones, rows that sum to exactly 1.0 (one-hot), rows divided
+    once by their own sum (so most sum to 1.0 or miss it by an ulp or
+    two — where only an exact test is right), and all-zero rows."""
+    n = draw(st.integers(1, 24))
+    c = draw(st.integers(1, 4))
+    t = draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    w = rng.random((n, c, t)) * draw(st.sampled_from([1e-3, 1.0, 7.0]))
+    kinds = draw(st.lists(st.sampled_from("aunnz"), min_size=n, max_size=n))
+    for i, kind in enumerate(kinds):
+        if kind == "u":
+            w[i] = 0.0
+            w[i].flat[int(rng.integers(c * t))] = 1.0
+        elif kind == "n":
+            w[i] /= w[i].sum()
+        elif kind == "z":
+            w[i] = 0.0
+    return w
+
+
+class TestNormalizeSkipsUnitRows:
+    """``normalize`` leaves rows that already sum to exactly 1.0 alone;
+    ``x / 1.0 == x`` in IEEE arithmetic, so it must still equal the
+    literal divide byte for byte."""
+
+    @given(_weight_arrays(), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_literal_divide(self, w, memoized):
+        m = PreferenceMatrix(*w.shape)
+        m.data[...] = w
+        m.touch()
+        if memoized:
+            m.health()  # memoizes the row sums normalize then reads
+        m.normalize()
+        assert m.data.tobytes() == _literal_normalize(w).tobytes()
+
+    @pytest.mark.parametrize("off_rows", [1, 7, 8, 9, 31, 32])
+    def test_both_sides_of_the_divide_all_switch(self, off_rows):
+        from repro.core.weights import DIVIDE_ALL_FRACTION
+
+        n = 32  # off_rows < 8 gathers, >= 8 (a quarter) divides everything
+        rng = np.random.default_rng(off_rows)
+        w = np.zeros((n, 3, 4))
+        w[:, 0, 0] = 1.0  # unit rows
+        w[:off_rows] = rng.random((off_rows, 3, 4))
+        assert (off_rows >= DIVIDE_ALL_FRACTION * n) == (off_rows >= 8)
+        m = PreferenceMatrix(n, 3, 4)
+        m.data[...] = w
+        m.touch()
+        m.normalize()
+        assert m.data.tobytes() == _literal_normalize(w).tobytes()
+
+    def test_gathered_rows_span_several_blocks(self, monkeypatch):
+        from repro.core import weights
+
+        monkeypatch.setattr(weights, "NORMALIZE_BLOCK_ELEMENTS", 24)  # 2 rows
+        rng = np.random.default_rng(3)
+        w = np.zeros((40, 3, 4))
+        w[:, 1, 2] = 1.0
+        off = [0, 5, 6, 17, 18, 19, 33]  # under a quarter, over 3 blocks
+        w[off] = rng.random((len(off), 3, 4))
+        m = PreferenceMatrix(40, 3, 4)
+        m.data[...] = w
+        m.touch()
+        m.normalize()
+        assert m.data.tobytes() == _literal_normalize(w).tobytes()
