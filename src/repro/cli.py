@@ -627,8 +627,8 @@ def _cmd_trace(args: argparse.Namespace) -> int:
         return 2
     region = program.regions[args.region]
     tracer = Tracer()
-    scheduler = ConvergentScheduler(seed=args.seed, tracer=tracer)
-    result = scheduler.converge(region, machine)
+    with tracing(tracer):
+        result = ConvergentScheduler(seed=args.seed).converge(region, machine)
     report = simulate(region, machine, result.schedule, check_values=False)
     title = (
         f"convergence trace: {args.benchmark}/{region.name} on {machine.name} "

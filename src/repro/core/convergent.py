@@ -55,7 +55,7 @@ class ConvergentResult:
     @property
     def degraded(self) -> bool:
         """True when any pass was rolled back or quarantined."""
-        return self.guard is not None and bool(self.guard.events)
+        return self.trace.degraded
 
 
 class ConvergentScheduler(Scheduler):
@@ -86,13 +86,12 @@ class ConvergentScheduler(Scheduler):
             crash.
         quarantine_after: Failures of one pass before it is quarantined
             for the rest of the run.
-        tracer: A :class:`~repro.observability.tracer.Tracer` receiving
-            per-pass spans with matrix-delta metrics (L1 churn, flips,
-            entropy, confidence) plus list-scheduling and extraction
-            spans.  ``None`` (the default) uses the ambient tracer from
-            :func:`repro.observability.tracer.install`, which is the
-            no-op null tracer unless one was installed — tracing off
-            is behavior- and speed-neutral.
+
+    Tracing is ambient: :meth:`converge` records into the tracer
+    installed with :func:`repro.observability.tracer.tracing` (or
+    :func:`~repro.observability.tracer.install`), which is the no-op
+    null tracer unless one was installed — tracing off is behavior- and
+    speed-neutral.
     """
 
     name = "convergent"
@@ -107,7 +106,6 @@ class ConvergentScheduler(Scheduler):
         iterations: int = 1,
         guard: bool = True,
         quarantine_after: int = 2,
-        tracer: Optional[Union[Tracer, NullTracer]] = None,
     ) -> None:
         if iterations < 1:
             raise ValueError("iterations must be >= 1")
@@ -119,7 +117,6 @@ class ConvergentScheduler(Scheduler):
         self.iterations = iterations
         self.guard = guard
         self.quarantine_after = quarantine_after
-        self.tracer = tracer
         self.last_result: Optional[ConvergentResult] = None
 
     # ------------------------------------------------------------------
@@ -143,10 +140,11 @@ class ConvergentScheduler(Scheduler):
     def converge(self, region: Region, machine: Machine) -> ConvergentResult:
         """Run the pass sequence and the final list scheduling step.
 
-        When a tracer is attached (or ambient), each pass additionally
+        When an ambient tracer is installed, each pass additionally
         emits a ``pass:<NAME>`` span carrying wall time and
-        matrix-delta metrics, and guard interventions emit ``guard``
-        events; with the default null tracer none of that is computed.
+        matrix-delta metrics, and each guard intervention emits one
+        ``guard`` event; with the default null tracer none of that is
+        computed.
 
         Args:
             region: The scheduling region to compile.
@@ -156,7 +154,7 @@ class ConvergentScheduler(Scheduler):
             The full :class:`ConvergentResult`, including the converged
             matrix and the per-pass convergence trace.
         """
-        tracer = self.tracer if self.tracer is not None else active_tracer()
+        tracer = active_tracer()
         with tracer.span(
             "converge",
             region=region.name,
@@ -176,7 +174,8 @@ class ConvergentScheduler(Scheduler):
 
         ddg = region.ddg
         matrix = PreferenceMatrix.for_region(ddg, machine.n_clusters)
-        trace = ConvergenceTrace(keep_snapshots=self.keep_snapshots)
+        guard = PassGuard(quarantine_after=self.quarantine_after) if self.guard else None
+        trace = ConvergenceTrace(keep_snapshots=self.keep_snapshots, guard=guard)
         trace.observe_initial(matrix)
         ctx = PassContext(
             ddg=ddg, machine=machine, matrix=matrix, rng=self._region_rng(region)
@@ -187,7 +186,6 @@ class ConvergentScheduler(Scheduler):
         with tracer.span("region_index", n_instructions=len(ddg)):
             ctx.index
         passes = self._build_passes(machine)
-        guard = PassGuard(quarantine_after=self.quarantine_after) if self.guard else None
         budget = active_budget()
         for round_index in range(self.iterations):
             for scheduling_pass in passes:
@@ -199,52 +197,35 @@ class ConvergentScheduler(Scheduler):
                     continue
                 if tracer.enabled:
                     before_weights = matrix.checkpoint()
-                    before_preferred = matrix.preferred_clusters()
-                event = None
+                seen = len(guard.events) if guard is not None else 0
                 with tracer.span(
                     f"pass:{scheduling_pass.name}", round=round_index
                 ) as span:
-                    if guard is not None:
-                        event = guard.run(scheduling_pass, ctx, round_index)
-                    else:
+                    if guard is None:
                         scheduling_pass.apply(ctx)
                         matrix.normalize()
-                if event is not None:
-                    if tracer.enabled:
-                        span.fields["rolled_back"] = True
-                    trace.observe_guard_event(event)
-                    tracer.event(
-                        "guard",
-                        pass_name=event.pass_name,
-                        round=event.round_index,
-                        guard_kind=event.kind,
-                        detail=event.detail,
-                        recovered=event.recovered,
-                    )
-                    last = guard.events[-1]
-                    if last.kind == "quarantine":
-                        trace.observe_guard_event(last)
+                    elif guard.run(scheduling_pass, ctx, round_index) is not None:
+                        if tracer.enabled:
+                            span.fields["rolled_back"] = True
+                if guard is not None and len(guard.events) > seen:
+                    for event in guard.events[seen:]:
                         tracer.event(
                             "guard",
-                            pass_name=last.pass_name,
-                            round=last.round_index,
-                            guard_kind=last.kind,
-                            detail=last.detail,
-                            recovered=last.recovered,
+                            pass_name=event.pass_name,
+                            round=event.round_index,
+                            guard_kind=event.kind,
+                            detail=event.detail,
+                            recovered=event.recovered,
                         )
                     continue  # matrix rolled back; nothing to observe
                 if self.check_invariants:
                     matrix.check_invariants()
                 record = trace.observe_pass(scheduling_pass.name, matrix)
                 if tracer.enabled:
-                    delta = matrix_delta(before_weights, before_preferred, matrix)
-                    record.wall_seconds = span.duration_s or 0.0
-                    record.l1_churn = delta["l1_churn"]
-                    record.flips = int(delta["flips"])
-                    record.mean_entropy = delta["mean_entropy"]
-                    record.mean_confidence = delta["mean_confidence"]
                     span.fields.update(
-                        changed_fraction=record.changed_fraction, **delta
+                        changed_fraction=record.changed_fraction,
+                        flips=trace.last_flips,
+                        **matrix_delta(before_weights, matrix),
                     )
 
         if budget is not None:

@@ -11,8 +11,9 @@ runs under a :class:`PassGuard`:
    <repro.core.weights.PreferenceMatrix.health>` (NaN/Inf, negative
    weights, all-zero rows);
 3. on any failure the matrix is rolled back to the checkpoint, the
-   event is recorded in the :class:`~repro.core.metrics.ConvergenceTrace`,
-   and the run continues with the next pass;
+   event is appended to :attr:`PassGuard.events` (the run's one list of
+   interventions, which the :class:`~repro.core.metrics.ConvergenceTrace`
+   reads), and the run continues with the next pass;
 4. a pass that keeps failing is **quarantined** — skipped for the rest
    of the run — so iterative application does not pay for a known-bad
    heuristic every round.
@@ -59,28 +60,6 @@ class GuardEvent:
         return (
             f"{self.pass_name} (round {self.round_index}): "
             f"{self.kind} — {self.detail} [{action}]"
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation for trace serialization."""
-        return {
-            "kind": "guard",
-            "pass_name": self.pass_name,
-            "round_index": self.round_index,
-            "guard_kind": self.kind,
-            "detail": self.detail,
-            "recovered": self.recovered,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "GuardEvent":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            pass_name=data["pass_name"],
-            round_index=int(data["round_index"]),
-            kind=data["guard_kind"],
-            detail=data["detail"],
-            recovered=bool(data.get("recovered", True)),
         )
 
 

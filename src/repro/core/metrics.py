@@ -17,12 +17,16 @@ import numpy as np
 from .weights import PreferenceMatrix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from .guard import GuardEvent
+    from .guard import GuardEvent, PassGuard
 
 
 @dataclass
 class PassRecord:
     """Convergence data for one executed pass.
+
+    Traced runs carry the rest of a pass's diagnostics (wall time, L1
+    churn, flips, entropy, confidence) on its ``pass:<NAME>`` span, not
+    here.
 
     Attributes:
         pass_name: Table-1 name of the pass.
@@ -31,55 +35,12 @@ class PassRecord:
         spatial_only: True if the pass may change spatial preferences
             (Figures 7/9 exclude passes that only touch time).
         snapshot: Full matrix copy, when snapshotting is enabled.
-        wall_seconds: Pass wall time; populated only when the driver
-            runs under a real tracer (0.0 otherwise).
-        l1_churn: Mean per-instruction L1 weight movement caused by the
-            pass (tracer-enabled runs only).
-        flips: Count of instructions whose preferred cluster changed
-            (the numerator of ``changed_fraction``; tracer runs only).
-        mean_entropy: Mean normalized spatial entropy after the pass
-            (tracer-enabled runs only).
-        mean_confidence: Mean clamped confidence after the pass
-            (tracer-enabled runs only).
     """
 
     pass_name: str
     changed_fraction: float
     spatial_only: bool = True
     snapshot: Optional[PreferenceMatrix] = None
-    wall_seconds: float = 0.0
-    l1_churn: float = 0.0
-    flips: int = 0
-    mean_entropy: float = 0.0
-    mean_confidence: float = 0.0
-
-    def to_dict(self) -> dict:
-        """JSON-safe representation (snapshots are never serialized)."""
-        return {
-            "kind": "pass",
-            "pass_name": self.pass_name,
-            "changed_fraction": self.changed_fraction,
-            "spatial_only": self.spatial_only,
-            "wall_seconds": self.wall_seconds,
-            "l1_churn": self.l1_churn,
-            "flips": self.flips,
-            "mean_entropy": self.mean_entropy,
-            "mean_confidence": self.mean_confidence,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PassRecord":
-        """Inverse of :meth:`to_dict`."""
-        return cls(
-            pass_name=data["pass_name"],
-            changed_fraction=float(data["changed_fraction"]),
-            spatial_only=bool(data.get("spatial_only", True)),
-            wall_seconds=float(data.get("wall_seconds", 0.0)),
-            l1_churn=float(data.get("l1_churn", 0.0)),
-            flips=int(data.get("flips", 0)),
-            mean_entropy=float(data.get("mean_entropy", 0.0)),
-            mean_confidence=float(data.get("mean_confidence", 0.0)),
-        )
 
 
 #: Passes that only modify temporal preferences; the paper's convergence
@@ -99,9 +60,13 @@ class ConvergenceTrace:
 
     records: List[PassRecord] = field(default_factory=list)
     keep_snapshots: bool = False
-    #: Guard interventions (rollbacks, quarantines) in execution order;
-    #: empty on a fault-free run.
-    guard_events: List["GuardEvent"] = field(default_factory=list)
+    #: The guard that supervised the run, whose :attr:`PassGuard.events
+    #: <repro.core.guard.PassGuard.events>` are the run's one list of
+    #: interventions; ``None`` when guarding was disabled.
+    guard: Optional["PassGuard"] = None
+    #: Instructions whose preferred cluster the last observed pass
+    #: changed (the numerator of its ``changed_fraction``).
+    last_flips: int = 0
     #: Preferred clusters after the last observed pass (private state,
     #: left out of ``==`` because an array has no single truth value).
     _last_preferred: Optional[np.ndarray] = field(default=None, compare=False)
@@ -123,16 +88,15 @@ class ConvergenceTrace:
                 post-pass normalization).
 
         Returns:
-            The appended :class:`PassRecord`, which the caller may
-            enrich further (e.g. with tracer-derived wall time).
+            The appended :class:`PassRecord`.
         """
         preferred = _preferred(matrix)
         if self._last_preferred is None or not preferred.size:
+            self.last_flips = 0
             changed = 0.0
         else:
-            changed = (
-                int(np.count_nonzero(self._last_preferred != preferred)) / preferred.size
-            )
+            self.last_flips = int(np.count_nonzero(self._last_preferred != preferred))
+            changed = self.last_flips / preferred.size
         self._last_preferred = preferred
         record = PassRecord(
             pass_name=pass_name,
@@ -143,14 +107,17 @@ class ConvergenceTrace:
         self.records.append(record)
         return record
 
-    def observe_guard_event(self, event: "GuardEvent") -> None:
-        """Record a guard intervention (rollback or quarantine).
+    @property
+    def guard_events(self) -> List["GuardEvent"]:
+        """Guard interventions (rollbacks, quarantines) in execution order.
 
-        Guard events live beside :attr:`records`, not inside them, so
-        the Figure 7/9 churn series is unaffected by failed passes —
-        a rolled-back pass by definition changed nothing.
+        Read from the guard, not copied: they live beside
+        :attr:`records`, not inside them, so the Figure 7/9 churn series
+        is unaffected by failed passes — a rolled-back pass by
+        definition changed nothing.  Empty on a fault-free or unguarded
+        run.
         """
-        self.guard_events.append(event)
+        return self.guard.events if self.guard is not None else []
 
     @property
     def degraded(self) -> bool:
@@ -164,45 +131,6 @@ class ConvergenceTrace:
     def series(self) -> List[float]:
         """The changed-fraction series for spatially active passes."""
         return [r.changed_fraction for r in self.spatial_records()]
-
-    # ------------------------------------------------------------------
-    # JSONL round-trip
-    # ------------------------------------------------------------------
-
-    def to_jsonl(self) -> str:
-        """One JSON object per line: pass records, then guard events.
-
-        Snapshots are dropped (they are debugging state, not data);
-        everything else — including the tracer-populated churn/entropy/
-        confidence/time fields — survives :meth:`from_jsonl` exactly.
-        """
-        import json
-
-        lines = [json.dumps(r.to_dict(), sort_keys=True) for r in self.records]
-        for event in self.guard_events:
-            lines.append(json.dumps(event.to_dict(), sort_keys=True))
-        return "\n".join(lines)
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "ConvergenceTrace":
-        """Rebuild a trace from :meth:`to_jsonl` output."""
-        import json
-
-        from .guard import GuardEvent
-
-        trace = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            data = json.loads(line)
-            if data.get("kind") == "guard":
-                trace.guard_events.append(GuardEvent.from_dict(data))
-            else:
-                trace.records.append(PassRecord.from_dict(data))
-        if trace.records:
-            trace._last_preferred = None  # snapshots were not serialized
-        return trace
 
     def render(self, label: str = "") -> str:
         """ASCII sparkline of the convergence series."""

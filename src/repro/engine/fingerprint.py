@@ -513,7 +513,7 @@ def machine_payload_text(machine: Machine) -> str:
 #: Instance attributes never folded into a scheduler fingerprint:
 #: bookkeeping about the *previous* run, not configuration.
 _EXCLUDED_ATTR_PREFIXES = ("last", "_last")
-_EXCLUDED_ATTRS = frozenset({"tracer", "schedulers"})
+_EXCLUDED_ATTRS = frozenset({"schedulers"})
 
 _SIMPLE_TYPES = (str, int, float, bool, type(None))
 

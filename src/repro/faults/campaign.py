@@ -374,8 +374,6 @@ def _record_trials(
                 finish_s=finish,
                 queue_wait_s=max(0.0, start - submit_s),
                 execute_s=max(0.0, finish - start),
-                attempts=1,
-                route_level=0,
                 degradation_level=outcome.fallback_level,
                 status="ok" if outcome.validated else "failed",
                 cycles=outcome.result.cycles,

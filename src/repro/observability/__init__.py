@@ -9,7 +9,7 @@ instrumentation substrate for those measurements:
   no-op :data:`~repro.observability.tracer.NULL_TRACER` default, so
   untraced scheduling stays behavior- and speed-neutral;
 * :mod:`~repro.observability.metrics` — per-pass matrix-delta metrics
-  (L1 churn, preferred-cluster flips, entropy, confidence) and a
+  (L1 churn, entropy, confidence) and a
   counters/histograms :class:`~repro.observability.metrics.MetricsRegistry`
   aggregated into harness results;
 * :mod:`~repro.observability.render` — terminal views: the
@@ -46,13 +46,10 @@ from .flight import (
 from .metrics import (
     CACHE_COUNTERS,
     CONFIDENCE_CAP,
-    Histogram,
     MetricsRegistry,
     QuantileHistogram,
     TELEMETRY_NAMES,
-    histogram_from_dict,
     matrix_delta,
-    trace_to_registry,
 )
 from .render import (
     pass_spans,
@@ -72,7 +69,6 @@ from .tracer import (
     Tracer,
     active,
     install,
-    instrumented,
     read_jsonl,
     timed,
     tracing,
@@ -126,7 +122,6 @@ __all__ = [
     "validate_snapshot",
     "CACHE_COUNTERS",
     "CONFIDENCE_CAP",
-    "Histogram",
     "KIND_EVENT",
     "KIND_SPAN",
     "MetricsRegistry",
@@ -137,9 +132,7 @@ __all__ = [
     "TraceRecord",
     "Tracer",
     "active",
-    "histogram_from_dict",
     "install",
-    "instrumented",
     "matrix_delta",
     "pass_spans",
     "profile_data",
@@ -149,7 +142,6 @@ __all__ = [
     "sparkline",
     "timed",
     "trace_data",
-    "trace_to_registry",
     "tracing",
     "uninstall",
 ]

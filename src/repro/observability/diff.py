@@ -27,7 +27,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .bench import BenchSnapshot
-from .tracer import KIND_SPAN, TraceRecord
+from .render import PASS_SPAN_PREFIX, _format_table, pass_spans
+from .tracer import TraceRecord
 
 #: Cell verdicts.
 IMPROVED = "improved"
@@ -41,14 +42,6 @@ DEFAULT_TIMING_TOLERANCE = 0.2
 
 #: Status ranking used to detect degradations (higher is worse).
 _STATUS_RANK = {"ok": 0, "partial": 1, "failed": 2}
-
-
-def _format_table(headers, rows, title=""):
-    # Imported lazily: repro.harness pulls in the scheduler core, which
-    # imports this package — a top-level import would cycle at start-up.
-    from ..harness.reporting import format_table
-
-    return format_table(headers, rows, title=title)
 
 
 @dataclass
@@ -337,14 +330,6 @@ def compare_snapshots(
 # ----------------------------------------------------------------------
 
 
-def _pass_spans(records: Sequence[TraceRecord]) -> List[TraceRecord]:
-    """The ``pass:<NAME>`` spans of a trace, in execution order."""
-    return [
-        r for r in records
-        if r.kind == KIND_SPAN and r.name.startswith("pass:")
-    ]
-
-
 def align_traces(
     a_records: Sequence[TraceRecord],
     b_records: Sequence[TraceRecord],
@@ -359,8 +344,8 @@ def align_traces(
         Aligned ``(a_span, b_span)`` pairs in execution order; a pass
         present on only one side pairs with ``None``.
     """
-    a_passes = _pass_spans(a_records)
-    b_passes = _pass_spans(b_records)
+    a_passes = pass_spans(a_records)
+    b_passes = pass_spans(b_records)
     matcher = difflib.SequenceMatcher(
         a=[r.name for r in a_passes], b=[r.name for r in b_passes], autojunk=False
     )
@@ -416,7 +401,7 @@ def render_trace_diff(
     rows = []
     diverged = 0
     for a_span, b_span in pairs:
-        name = (a_span or b_span).name[len("pass:"):]
+        name = (a_span or b_span).name[len(PASS_SPAN_PREFIX):]
         churn = _pair_cells(_metric(a_span, "l1_churn"), _metric(b_span, "l1_churn"))
         entropy = _pair_cells(
             _metric(a_span, "mean_entropy"), _metric(b_span, "mean_entropy")

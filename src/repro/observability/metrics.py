@@ -4,28 +4,28 @@ Three things live here:
 
 * :func:`matrix_delta` — the per-pass measurement behind ``repro
   trace``: given a snapshot of the preference matrix from *before* a
-  pass, quantify what the pass did to it (L1 weight churn, preferred-
-  cluster flips) alongside the matrix's current sharpness (mean
-  normalized entropy, mean clamped confidence).
+  pass, quantify what the pass did to it (L1 weight churn) alongside
+  the matrix's current sharpness (mean normalized entropy, mean
+  clamped confidence).
 * :class:`MetricsRegistry` — a tiny counters-and-histograms registry
   the harness aggregates into :class:`~repro.harness.experiment.
   ProgramResult` and :func:`repro.harness.reporting.format_metrics`
   renders.  Snapshots are plain JSON-safe dicts so they survive the
   results round-trip unchanged.
-* :class:`QuantileHistogram` — the registry's default histogram: the
-  O(1) count/sum/min/max summary of :class:`Histogram` plus a fixed
-  log-scale bucket layout whose merge is exact and associative, giving
-  p50/p90/p99 accessors with a documented relative error bound (see
-  ``docs/telemetry.md``).  Serialization is schema-versioned and stays
-  backward-compatible: a legacy summary-only dict deserializes into a
-  plain :class:`Histogram` via :func:`histogram_from_dict`.
+* :class:`QuantileHistogram` — the registry's one histogram type: an
+  exact count/sum/min/max summary plus a fixed log-scale bucket layout
+  whose merge is exact and associative, giving p50/p90/p99 accessors
+  with a documented relative error bound (see ``docs/telemetry.md``).
+  Serialization is schema-versioned and stays backward-compatible: a
+  legacy summary-only dict loads through
+  :meth:`QuantileHistogram.from_dict` with no buckets.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, TYPE_CHECKING
+from typing import Dict, Optional, TYPE_CHECKING
 
 import numpy as np
 
@@ -198,16 +198,17 @@ TELEMETRY_NAMES: Dict[str, str] = _telemetry_names()
 
 def matrix_delta(
     before_weights: np.ndarray,
-    before_preferred: Sequence[int],
     matrix: "PreferenceMatrix",
 ) -> Dict[str, float]:
     """Measure what one pass did to the preference matrix.
 
+    Preferred-cluster flips are not measured here: the convergence
+    trace already counts them for the pass's ``changed_fraction``
+    (:attr:`~repro.core.metrics.ConvergenceTrace.last_flips`).
+
     Args:
         before_weights: Checkpoint of the raw ``(N, C, T)`` weights
             taken before the pass (:meth:`PreferenceMatrix.checkpoint`).
-        before_preferred: Preferred cluster per instruction before the
-            pass (:meth:`PreferenceMatrix.preferred_clusters`).
         matrix: The matrix after the pass (and its normalize).
 
     Returns:
@@ -217,9 +218,6 @@ def matrix_delta(
           (L1 distance between the old and new rows, averaged over
           instructions; 0 = the pass changed nothing, 2 = every
           instruction moved all its mass).
-        * ``flips`` — number of instructions whose preferred cluster
-          changed.
-        * ``flip_fraction`` — ``flips`` over the instruction count.
         * ``mean_entropy`` — current mean normalized spatial entropy
           (:meth:`PreferenceMatrix.mean_entropy`).
         * ``mean_confidence`` — current mean clamped confidence
@@ -227,89 +225,12 @@ def matrix_delta(
     """
     n = matrix.n_instructions
     if n == 0:
-        return {
-            "l1_churn": 0.0,
-            "flips": 0,
-            "flip_fraction": 0.0,
-            "mean_entropy": 0.0,
-            "mean_confidence": 0.0,
-        }
-    l1 = float(np.abs(matrix.data - before_weights).sum()) / n
-    preferred = matrix.preferred_clusters()
-    flips = int(sum(1 for a, b in zip(before_preferred, preferred) if a != b))
+        return {"l1_churn": 0.0, "mean_entropy": 0.0, "mean_confidence": 0.0}
     return {
-        "l1_churn": l1,
-        "flips": flips,
-        "flip_fraction": flips / n,
+        "l1_churn": float(np.abs(matrix.data - before_weights).sum()) / n,
         "mean_entropy": matrix.mean_entropy(),
         "mean_confidence": matrix.mean_confidence(cap=CONFIDENCE_CAP),
     }
-
-
-@dataclass
-class Histogram:
-    """Streaming summary of an observed value: count/sum/min/max.
-
-    Keeps O(1) state — no buckets — which is all the harness needs to
-    report means and ranges per metric.  An empty histogram holds
-    ``min = max = 0.0`` so a live empty instance, a merged-from-empty
-    instance, and a :meth:`to_dict` → :meth:`from_dict` round-trip of
-    one are all equal (the pre-flight-recorder representation kept
-    sentinel ``±inf`` bounds that broke that symmetry).
-    """
-
-    count: int = 0
-    total: float = 0.0
-    min: float = 0.0
-    max: float = 0.0
-
-    def observe(self, value: float) -> None:
-        """Fold one observation into the summary."""
-        value = float(value)
-        if self.count:
-            self.min = min(self.min, value)
-            self.max = max(self.max, value)
-        else:
-            self.min = value
-            self.max = value
-        self.count += 1
-        self.total += value
-
-    @property
-    def mean(self) -> float:
-        """Arithmetic mean of the observations; 0 when empty."""
-        return self.total / self.count if self.count else 0.0
-
-    def to_dict(self) -> Dict[str, float]:
-        """JSON-safe summary."""
-        return {
-            "count": self.count,
-            "total": self.total,
-            "min": self.min,
-            "max": self.max,
-            "mean": self.mean,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, float]) -> "Histogram":
-        """Inverse of :meth:`to_dict`."""
-        out = cls(count=int(data["count"]), total=float(data["total"]))
-        if out.count:
-            out.min = float(data["min"])
-            out.max = float(data["max"])
-        return out
-
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram's observations into this one."""
-        if other.count:
-            if self.count:
-                self.min = min(self.min, other.min)
-                self.max = max(self.max, other.max)
-            else:
-                self.min = other.min
-                self.max = other.max
-        self.count += other.count
-        self.total += other.total
 
 
 #: Schema tag :meth:`QuantileHistogram.to_dict` stamps on its payload so
@@ -369,8 +290,8 @@ def _bucket_value(index: int) -> float:
 
 
 @dataclass
-class QuantileHistogram(Histogram):
-    """Histogram with fixed log-scale buckets and p50/p90/p99 accessors.
+class QuantileHistogram:
+    """Streaming histogram: exact count/sum/min/max plus log-scale buckets.
 
     The bucket layout is fixed (``QUANTILE_FLOOR`` · 16 buckets/decade ·
     14 decades plus underflow/overflow), so merging two instances is an
@@ -380,36 +301,52 @@ class QuantileHistogram(Histogram):
     one-sixteenth-decade bucket), and are additionally clamped to the
     exact observed ``[min, max]``.
 
-    ``unbucketed`` counts observations merged in from plain
-    :class:`Histogram` instances (legacy snapshots); quantiles are
-    computed over the bucketed population only.
+    An empty histogram holds ``min = max = 0.0``, so a live empty
+    instance, a merged-from-empty instance, and a :meth:`to_dict` →
+    :meth:`from_dict` round-trip of one are all equal.  A summary-only
+    dict (no ``buckets``) loads with its count/sum/min/max and no
+    buckets; quantiles count bucketed observations only and read the
+    mean when there are none.
     """
 
+    count: int = 0
+    total: float = 0.0
+    min: float = 0.0
+    max: float = 0.0
     buckets: Dict[int, int] = field(default_factory=dict)
-    unbucketed: int = 0
 
     def observe(self, value: float) -> None:
         """Fold one observation into the summary and its bucket."""
         value = float(value)
-        super().observe(value)
+        if self.count:
+            self.min = min(self.min, value)
+            self.max = max(self.max, value)
+        else:
+            self.min = value
+            self.max = value
+        self.count += 1
+        self.total += value
         index = _bucket_index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
 
-    def merge(self, other: "Histogram") -> None:
-        """Fold another histogram in; exact when both carry buckets.
+    @property
+    def mean(self) -> float:
+        """Arithmetic mean of the observations; 0 when empty."""
+        return self.total / self.count if self.count else 0.0
 
-        Args:
-            other: A :class:`QuantileHistogram` (buckets add exactly) or
-                a plain :class:`Histogram` (its observations join the
-                ``unbucketed`` population).
-        """
-        super().merge(other)
-        if isinstance(other, QuantileHistogram):
-            for index, n in other.buckets.items():
-                self.buckets[index] = self.buckets.get(index, 0) + n
-            self.unbucketed += other.unbucketed
-        else:
-            self.unbucketed += other.count
+    def merge(self, other: "QuantileHistogram") -> None:
+        """Fold another histogram in; its buckets add exactly."""
+        if other.count:
+            if self.count:
+                self.min = min(self.min, other.min)
+                self.max = max(self.max, other.max)
+            else:
+                self.min = other.min
+                self.max = other.max
+        self.count += other.count
+        self.total += other.total
+        for index, n in other.buckets.items():
+            self.buckets[index] = self.buckets.get(index, 0) + n
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile of the bucketed observations.
@@ -419,8 +356,8 @@ class QuantileHistogram(Histogram):
 
         Returns:
             The bucket-midpoint estimate clamped to the exact observed
-            ``[min, max]``; the mean when only unbucketed observations
-            exist; ``0.0`` when empty.
+            ``[min, max]``; the mean when no observation is bucketed
+            (empty, or loaded from a summary-only dict).
         """
         bucketed = sum(self.buckets.values())
         if not bucketed:
@@ -453,41 +390,31 @@ class QuantileHistogram(Histogram):
         return self.quantile(0.99)
 
     def to_dict(self) -> Dict[str, float]:
-        """JSON-safe dump: legacy summary keys plus the bucket layer."""
-        out = super().to_dict()
-        out["quantile_schema"] = QUANTILE_SCHEMA_VERSION
-        out["buckets"] = {str(i): n for i, n in sorted(self.buckets.items())}
-        out["unbucketed"] = self.unbucketed
-        out["p50"] = self.p50
-        out["p90"] = self.p90
-        out["p99"] = self.p99
-        return out
+        """JSON-safe dump: the summary keys plus the bucket layer."""
+        return {
+            "count": self.count,
+            "total": self.total,
+            "min": self.min,
+            "max": self.max,
+            "mean": self.mean,
+            "quantile_schema": QUANTILE_SCHEMA_VERSION,
+            "buckets": {str(i): n for i, n in sorted(self.buckets.items())},
+            "p50": self.p50,
+            "p90": self.p90,
+            "p99": self.p99,
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, float]) -> "QuantileHistogram":
-        """Inverse of :meth:`to_dict` (also accepts legacy dicts)."""
-        out = super().from_dict(data)
+        """Inverse of :meth:`to_dict`; also loads summary-only dicts."""
+        out = cls(count=int(data["count"]), total=float(data["total"]))
+        if out.count:
+            out.min = float(data["min"])
+            out.max = float(data["max"])
         out.buckets = {
             int(i): int(n) for i, n in dict(data.get("buckets", {})).items()
         }
-        out.unbucketed = int(data.get("unbucketed", 0))
         return out
-
-
-def histogram_from_dict(data: Dict[str, float]) -> Histogram:
-    """Deserialize a histogram dict, dispatching on its schema.
-
-    Args:
-        data: Output of :meth:`Histogram.to_dict` (legacy summary-only)
-            or :meth:`QuantileHistogram.to_dict` (carries ``buckets``).
-
-    Returns:
-        A :class:`QuantileHistogram` when bucket data is present, else a
-        plain :class:`Histogram` — so old snapshots keep loading.
-    """
-    if "buckets" in data:
-        return QuantileHistogram.from_dict(data)
-    return Histogram.from_dict(data)
 
 
 @dataclass
@@ -502,7 +429,7 @@ class MetricsRegistry:
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
-    histograms: Dict[str, Histogram] = field(default_factory=dict)
+    histograms: Dict[str, QuantileHistogram] = field(default_factory=dict)
 
     def inc(self, name: str, amount: int = 1) -> None:
         """Add ``amount`` to counter ``name`` (creating it at 0).
@@ -516,8 +443,7 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` into histogram ``name`` (creating it).
 
-        New histograms are :class:`QuantileHistogram` instances, so
-        every engine/resilience/cache timing recorded through the
+        Every engine/resilience/cache timing recorded through the
         registry carries p50/p90/p99 for free.
 
         Args:
@@ -530,32 +456,16 @@ class MetricsRegistry:
         """Current value of counter ``name`` (0 when never incremented)."""
         return self.counters.get(name, 0)
 
-    def histogram(self, name: str) -> Optional[Histogram]:
+    def histogram(self, name: str) -> Optional[QuantileHistogram]:
         """Histogram ``name``, or ``None`` when nothing was observed."""
         return self.histograms.get(name)
 
     def merge(self, other: "MetricsRegistry") -> None:
-        """Fold another registry into this one (fleet aggregation).
-
-        Type-preserving: merging a :class:`QuantileHistogram` into a
-        registry that lacks (or holds a plain summary under) that name
-        promotes the slot so bucket data is never silently dropped.
-        """
+        """Fold another registry into this one (fleet aggregation)."""
         for name, value in other.counters.items():
             self.inc(name, value)
         for name, histogram in other.histograms.items():
-            mine = self.histograms.get(name)
-            if mine is None:
-                mine = type(histogram)()
-                self.histograms[name] = mine
-            elif isinstance(histogram, QuantileHistogram) and not isinstance(
-                mine, QuantileHistogram
-            ):
-                promoted = QuantileHistogram()
-                promoted.merge(mine)
-                self.histograms[name] = promoted
-                mine = promoted
-            mine.merge(histogram)
+            self.histograms.setdefault(name, QuantileHistogram()).merge(histogram)
 
     def snapshot(self) -> Dict[str, Dict]:
         """JSON-safe dump: ``{"counters": {...}, "histograms": {...}}``."""
@@ -572,30 +482,7 @@ class MetricsRegistry:
         out = cls()
         out.counters = {k: int(v) for k, v in data.get("counters", {}).items()}
         out.histograms = {
-            k: histogram_from_dict(v) for k, v in data.get("histograms", {}).items()
+            k: QuantileHistogram.from_dict(v)
+            for k, v in data.get("histograms", {}).items()
         }
         return out
-
-
-def trace_to_registry(records: Sequence, registry: Optional[MetricsRegistry] = None) -> MetricsRegistry:
-    """Aggregate tracer records into a registry.
-
-    Every span contributes ``span.<name>`` count/duration histograms;
-    every event increments ``event.<name>``.  Used by ``repro profile``
-    to turn a raw trace into the compile-time breakdown table.
-
-    Args:
-        records: :class:`~repro.observability.tracer.TraceRecord` items.
-        registry: Registry to fold into; ``None`` creates a fresh one.
-
-    Returns:
-        The registry the records were folded into.
-    """
-    registry = registry or MetricsRegistry()
-    for record in records:
-        if record.kind == "span":
-            registry.inc(f"span.{record.name}")
-            registry.observe(f"span.{record.name}.seconds", record.duration_s or 0.0)
-        else:
-            registry.inc(f"event.{record.name}")
-    return registry

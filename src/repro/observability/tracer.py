@@ -12,19 +12,16 @@ no-ops returning a shared null context manager — the happy path pays
 one attribute check per hook and nothing else, keeping untraced
 scheduling behavior- and speed-neutral.
 
-Two usage styles are supported:
-
-* **explicit** — construct a :class:`Tracer` and hand it to
-  :class:`~repro.core.convergent.ConvergentScheduler`;
-* **ambient** — :func:`install` a tracer (or use the :func:`tracing`
-  context manager) and every :func:`timed` hook in the pipeline
-  (simulation, harness phases) records into it.
+Tracing is ambient: :func:`install` a tracer (or use the
+:func:`tracing` context manager) and
+:meth:`~repro.core.convergent.ConvergentScheduler.converge` plus every
+:func:`timed` hook in the pipeline (simulation, harness phases) record
+into it.
 """
 
 from __future__ import annotations
 
 import contextlib
-import functools
 import json
 import time
 from dataclasses import dataclass, field
@@ -337,27 +334,3 @@ def timed(name: str, **fields: Any) -> contextlib.AbstractContextManager:
     if not tracer.enabled:
         return NullTracer._null_context
     return tracer.span(name, **fields)
-
-
-def instrumented(name: Optional[str] = None, **fields: Any) -> Callable:
-    """Decorator wrapping a function in a :func:`timed` span.
-
-    Args:
-        name: Span name; defaults to the function's ``__name__``.
-        fields: Static attributes attached to every span.
-
-    Returns:
-        A decorator that runs the function inside the span.
-    """
-
-    def decorate(func: Callable) -> Callable:
-        span_name = name or func.__name__
-
-        @functools.wraps(func)
-        def wrapper(*args: Any, **kwargs: Any) -> Any:
-            with timed(span_name, **fields):
-                return func(*args, **kwargs)
-
-        return wrapper
-
-    return decorate

@@ -611,12 +611,6 @@ class CompileServer:
                     finish_s=time.time(),
                     queue_wait_s=0.0,
                     execute_s=0.0,
-                    attempts=1,
-                    route_level=0,
-                    breaker=None,
-                    degradation_level=0,
-                    deadline_s=None,
-                    deadline_slack_s=None,
                     status=region_doc["status"],
                     cycles=region_doc["cycles"],
                 )

@@ -276,12 +276,13 @@ def _check_comm_events(
 
 def _check_dependences(ddg, schedule: Schedule, report: VerificationReport) -> None:
     """Every edge respected: arrival timing for values, spacing otherwise."""
+    arrivals = _arrival_index(schedule)
     for edge in ddg.edges():
         if edge.src not in schedule.ops or edge.dst not in schedule.ops:
             continue  # coverage diagnostics already emitted
         src_op, dst_op = schedule.ops[edge.src], schedule.ops[edge.dst]
         if edge.carries_value and ddg.instruction(edge.src).defines_value:
-            available = _availability(schedule, edge.src, dst_op.cluster)
+            available = _availability(schedule, arrivals, edge.src, dst_op.cluster)
             if available is None:
                 report.add(
                     "V210",
@@ -308,24 +309,40 @@ def _check_dependences(ddg, schedule: Schedule, report: VerificationReport) -> N
             )
 
 
-def _availability(schedule: Schedule, producer_uid: int, cluster: int) -> Optional[int]:
+def _arrival_index(schedule: Schedule) -> Dict[Tuple[int, int], int]:
+    """Earliest transfer arrival per ``(producer uid, destination cluster)``.
+
+    Built once per :func:`verify_schedule` call from ``schedule.comms``
+    alone (not from :meth:`Schedule.arrival_of` or the simulator's
+    index), keeping the timing oracle independent of the code it checks.
+    """
+    arrivals: Dict[Tuple[int, int], int] = {}
+    for ev in schedule.comms:
+        key = (ev.producer_uid, ev.dst)
+        known = arrivals.get(key)
+        if known is None or ev.arrival < known:
+            arrivals[key] = ev.arrival
+    return arrivals
+
+
+def _availability(
+    schedule: Schedule,
+    arrivals: Dict[Tuple[int, int], int],
+    producer_uid: int,
+    cluster: int,
+) -> Optional[int]:
     """First cycle ``producer_uid``'s value is usable on ``cluster``.
 
-    Recomputed here (local finish, else earliest matching transfer
-    arrival) instead of calling :meth:`Schedule.arrival_of`, keeping the
-    timing oracle independent of the schedule object's own helpers.
+    The local finish when the producer runs on ``cluster``, else the
+    earliest matching transfer arrival from ``arrivals``
+    (:func:`_arrival_index`); ``None`` when the value never gets there.
     """
     op = schedule.ops.get(producer_uid)
     if op is None:
         return None
     if op.cluster == cluster:
         return op.finish
-    arrivals = [
-        ev.arrival
-        for ev in schedule.comms
-        if ev.producer_uid == producer_uid and ev.dst == cluster
-    ]
-    return min(arrivals) if arrivals else None
+    return arrivals.get((producer_uid, cluster))
 
 
 def _check_makespan(schedule: Schedule, report: VerificationReport) -> None:

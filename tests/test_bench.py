@@ -37,7 +37,7 @@ from repro.observability.diff import (
     render_trace_diff,
 )
 from repro.observability.render import render_profile
-from repro.observability.tracer import KIND_SPAN, TraceRecord, Tracer
+from repro.observability.tracer import KIND_SPAN, TraceRecord, Tracer, tracing
 from repro.schedulers import UnifiedAssignAndSchedule
 from repro.workloads import build_benchmark
 from repro.workloads.suite import baseline_machine
@@ -308,8 +308,10 @@ class TestTraceDiff:
         machine = ClusteredVLIW(2)
         region = build_benchmark("vvmul", machine).regions[0]
         tracer_a, tracer_b = Tracer(), Tracer()
-        ConvergentScheduler(seed=0, tracer=tracer_a).converge(region, machine)
-        ConvergentScheduler(seed=1, tracer=tracer_b).converge(region, machine)
+        with tracing(tracer_a):
+            ConvergentScheduler(seed=0).converge(region, machine)
+        with tracing(tracer_b):
+            ConvergentScheduler(seed=1).converge(region, machine)
         pairs = align_traces(tracer_a.records, tracer_b.records)
         assert pairs and all(a is not None and b is not None for a, b in pairs)
         render_trace_diff(tracer_a.records, tracer_b.records)

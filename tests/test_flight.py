@@ -40,10 +40,9 @@ from repro.machine import ClusteredVLIW
 from repro.observability import (
     FlightLedger,
     FlightRecord,
-    Histogram,
+    MetricsRegistry,
     QuantileHistogram,
     analyze_ledger,
-    histogram_from_dict,
     read_ledger,
     render_timeline,
     render_trend,
@@ -138,8 +137,7 @@ class TestQuantileHistogram:
         h = QuantileHistogram()
         for v in xs:
             h.observe(v)
-        back = histogram_from_dict(h.to_dict())
-        assert isinstance(back, QuantileHistogram)
+        back = QuantileHistogram.from_dict(h.to_dict())
         assert back == h
 
     def test_dict_carries_quantiles(self):
@@ -152,34 +150,56 @@ class TestQuantileHistogram:
         assert data["p50"] == h.p50
 
     def test_merge_plain_histogram_counts_unbucketed(self):
-        plain = Histogram()
-        plain.observe(3.0)
-        plain.observe(5.0)
+        # A summary-only dict (the pre-bucket layout) loads with no
+        # buckets; merged in, its observations count but stay out of
+        # the quantiles.
+        plain = QuantileHistogram.from_dict(
+            {"count": 2, "total": 8.0, "min": 3.0, "max": 5.0, "mean": 4.0}
+        )
+        assert plain.p50 == plain.p99 == 4.0  # quantiles read the mean
         q = QuantileHistogram()
         q.observe(1.0)
         q.merge(plain)
-        assert q.count == 3
-        assert q.unbucketed == 2
-        assert q.max == 5.0
+        assert (q.count, q.total, q.min, q.max) == (3, 9.0, 1.0, 5.0)
+        assert sum(q.buckets.values()) == 1
+        assert q.p50 == q.p99 < 3.0  # the summary-only 3.0 and 5.0 are not ranked
+        assert "unbucketed" not in q.to_dict()
+
+    def test_summary_only_snapshot_loads_and_merges(self):
+        summary = {"count": 2, "total": 8.0, "min": 3.0, "max": 5.0, "mean": 4.0}
+        legacy = MetricsRegistry.from_snapshot(
+            {"counters": {"n": 1}, "histograms": {"x": summary}}
+        )
+        assert isinstance(legacy.histogram("x"), QuantileHistogram)
+        assert legacy.histogram("x").p50 == 4.0
+        live = MetricsRegistry()
+        live.observe("x", 1.0)
+        live.merge(legacy)
+        merged = live.histogram("x")
+        assert (merged.count, merged.min, merged.max) == (3, 1.0, 5.0)
+        fresh = MetricsRegistry()
+        fresh.merge(legacy)
+        assert fresh.histogram("x") == legacy.histogram("x")
+        assert fresh.histogram("x") is not legacy.histogram("x")
 
 
 class TestEmptyHistogramSymmetry:
     """Satellite: the empty-case ``to_dict`` asymmetry fix."""
 
     def test_live_empty_equals_round_tripped_empty(self):
-        live = Histogram()
-        back = Histogram.from_dict(live.to_dict())
+        live = QuantileHistogram()
+        back = QuantileHistogram.from_dict(live.to_dict())
         assert back == live
         assert back.to_dict() == live.to_dict()
 
     def test_live_empty_equals_merged_empty(self):
-        merged = Histogram()
-        merged.merge(Histogram())
-        assert merged == Histogram()
+        merged = QuantileHistogram()
+        merged.merge(QuantileHistogram())
+        assert merged == QuantileHistogram()
 
     def test_quantile_empty_round_trips(self):
         live = QuantileHistogram()
-        back = histogram_from_dict(live.to_dict())
+        back = QuantileHistogram.from_dict(live.to_dict())
         assert back == live
 
     @settings(max_examples=60, deadline=None)
@@ -193,12 +213,12 @@ class TestEmptyHistogramSymmetry:
         )
     )
     def test_round_trip_any_sample_including_empty(self, xs):
-        h = Histogram()
+        h = QuantileHistogram()
         for v in xs:
             h.observe(v)
-        back = Histogram.from_dict(h.to_dict())
+        back = QuantileHistogram.from_dict(h.to_dict())
         assert back == h
-        merged = Histogram()
+        merged = QuantileHistogram()
         merged.merge(h)
         assert merged == h
 

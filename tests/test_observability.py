@@ -1,29 +1,30 @@
 """Tests for the observability layer.
 
-Covers the three acceptance properties: JSONL round-trips (tracer
-records and :class:`ConvergenceTrace`), null-tracer behavior-neutrality
-(cycle-identical schedules with tracing off vs. on), and metric
-correctness on a hand-built three-instruction region.
+Covers the three acceptance properties: JSONL round-trips of tracer
+records, null-tracer behavior-neutrality (cycle-identical schedules with
+tracing off vs. on), and metric correctness on a hand-built
+three-instruction region.
 """
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+import repro.core.convergent as convergent_mod
 from repro.core import ConvergentScheduler, PreferenceMatrix
-from repro.core.guard import GuardEvent
-from repro.core.metrics import ConvergenceTrace
+from repro.core.metrics import ConvergenceTrace, PassRecord
+from repro.faults.chaos import RaisingPass
 from repro.machine import ClusteredVLIW, raw_with_tiles
 from repro.observability import (
     NULL_TRACER,
-    Histogram,
     MetricsRegistry,
     NullTracer,
+    QuantileHistogram,
     Tracer,
     active,
     install,
-    instrumented,
     matrix_delta,
     pass_spans,
     read_jsonl,
@@ -31,7 +32,6 @@ from repro.observability import (
     render_trace,
     sparkline,
     timed,
-    trace_to_registry,
     tracing,
     uninstall,
 )
@@ -127,20 +127,6 @@ class TestNullTracer:
         assert active() is NULL_TRACER
         assert tracer.spans("phase")
 
-    def test_instrumented_decorator(self):
-        @instrumented("add_op", flavor="test")
-        def add(a, b):
-            return a + b
-
-        tracer = Tracer()
-        with tracing(tracer):
-            assert add(2, 3) == 5
-        (span,) = tracer.spans("add_op")
-        assert span.fields["flavor"] == "test"
-        # with no ambient tracer it's a plain call
-        assert add(1, 1) == 2
-        assert len(tracer.records) == 1
-
 
 class TestNeutrality:
     """Tracing must never change what gets scheduled."""
@@ -152,32 +138,100 @@ class TestNeutrality:
     def test_traced_run_is_cycle_identical(self, machine, bench):
         region = build_benchmark(bench, machine).regions[0]
         plain = ConvergentScheduler().converge(region, machine)
-        traced = ConvergentScheduler(tracer=Tracer()).converge(region, machine)
+        with tracing(Tracer()):
+            traced = ConvergentScheduler().converge(region, machine)
         assert plain.schedule.makespan == traced.schedule.makespan
         assert plain.assignment == traced.assignment
         assert plain.priorities == traced.priorities
 
-    def test_null_tracer_computes_no_metrics(self):
+    def test_null_tracer_computes_no_metrics(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("matrix_delta ran without a tracer")
+
+        monkeypatch.setattr(convergent_mod, "matrix_delta", refuse)
         machine = ClusteredVLIW(4)
         region = build_benchmark("vvmul", machine).regions[0]
         result = ConvergentScheduler().converge(region, machine)
-        # without a tracer the rich PassRecord fields stay at defaults
-        assert all(r.wall_seconds == 0.0 for r in result.trace.records)
-        assert all(r.l1_churn == 0.0 for r in result.trace.records)
+        assert result.trace.records
 
     def test_traced_run_populates_pass_records(self):
         machine = ClusteredVLIW(4)
         region = build_benchmark("vvmul", machine).regions[0]
         tracer = Tracer()
-        result = ConvergentScheduler(tracer=tracer).converge(region, machine)
+        with tracing(tracer):
+            result = ConvergentScheduler().converge(region, machine)
         records = result.trace.records
-        assert any(r.wall_seconds > 0 for r in records)
-        assert any(r.l1_churn > 0 for r in records)
-        assert any(r.mean_confidence > 0 for r in records)
+        spans = pass_spans(tracer.records)
+        # per-pass diagnostics live on the pass span, one span per record
+        assert len(spans) == len(records)
+        assert any(s.duration_s > 0 for s in spans)
+        assert any(s.fields["l1_churn"] > 0 for s in spans)
+        assert any(s.fields["mean_confidence"] > 0 for s in spans)
+        assert all("flip_fraction" not in s.fields for s in spans)
         # span vocabulary: converge + one span per executed pass + phases
         assert len(tracer.spans("converge")) == 1
-        assert len(pass_spans(tracer.records)) == len(records)
         assert tracer.spans("list_schedule") and tracer.spans("extract_assignment")
+
+
+class TestRecordedOnce:
+    """Each compile fact has one home: guard interventions on the guard,
+    per-pass diagnostics on the pass span."""
+
+    @staticmethod
+    def _facts(events):
+        return [(e.pass_name, e.round_index, e.kind, e.detail) for e in events]
+
+    def test_guard_events_listed_once_in_guard_trace_and_tracer(self):
+        machine = ClusteredVLIW(4)
+        region = build_benchmark("vvmul", machine).regions[0]
+        passes = ["INITTIME", "NOISE", RaisingPass(), "LOAD", "EMPHCP"]
+        tracer = Tracer()
+        with tracing(tracer):
+            result = ConvergentScheduler(
+                passes=passes, iterations=3, quarantine_after=2
+            ).converge(region, machine)
+        facts = self._facts(result.guard.events)
+        # fails twice (round 0 rollback, round 1 rollback + quarantine),
+        # then is skipped in round 2
+        assert [(f[1], f[2]) for f in facts] == [
+            (0, "exception"), (1, "exception"), (1, "quarantine"),
+        ]
+        assert result.trace.guard_events is result.guard.events
+        assert self._facts(result.trace.guard_events) == facts
+        assert [
+            (r.fields["pass_name"], r.fields["round"], r.fields["guard_kind"],
+             r.fields["detail"])
+            for r in tracer.events("guard")
+        ] == facts
+        rolled_back = [
+            s.fields["round"] for s in pass_spans(tracer.records)
+            if s.fields.get("rolled_back")
+        ]
+        assert rolled_back == [0, 1]
+
+    def test_pass_spans_carry_what_pass_records_drop(self):
+        machine = raw_with_tiles(16)
+        region = build_benchmark("jacobi", machine).regions[0]
+        plain = ConvergentScheduler().converge(region, machine)
+        tracer = Tracer()
+        with tracing(tracer):
+            traced = ConvergentScheduler().converge(region, machine)
+        assert [f.name for f in dataclasses.fields(PassRecord)] == [
+            "pass_name", "changed_fraction", "spatial_only", "snapshot",
+        ]
+        spans = pass_spans(tracer.records)
+        records = traced.trace.records
+        assert [s.name for s in spans] == [f"pass:{r.pass_name}" for r in records]
+        n = len(region.ddg)
+        for span, record in zip(spans, records):
+            assert span.fields["changed_fraction"] == record.changed_fraction
+            assert span.fields["flips"] / n == record.changed_fraction
+            assert "flip_fraction" not in span.fields
+        assert any(span.fields["flips"] for span in spans)
+        assert traced.trace.series() == plain.trace.series()
+        assert [r.changed_fraction for r in records] == [
+            r.changed_fraction for r in plain.trace.records
+        ]
 
 
 class TestMatrixDelta:
@@ -189,23 +243,27 @@ class TestMatrixDelta:
 
     def test_no_change_is_all_zero(self):
         m = self.make_matrix()
-        delta = matrix_delta(m.checkpoint(), m.preferred_clusters(), m)
+        trace = ConvergenceTrace()
+        trace.observe_initial(m)
+        delta = matrix_delta(m.checkpoint(), m)
         assert delta["l1_churn"] == 0.0
-        assert delta["flips"] == 0
-        assert delta["flip_fraction"] == 0.0
+        assert trace.observe_pass("NOP", m).changed_fraction == 0.0
+        assert trace.last_flips == 0
         assert delta["mean_entropy"] == pytest.approx(1.0)  # fully uniform
 
     def test_single_flip_counted_and_churn_exact(self):
         m = self.make_matrix()
+        trace = ConvergenceTrace()
+        trace.observe_initial(m)  # ties -> cluster 0
         before_w = m.checkpoint()
-        before_p = m.preferred_clusters()  # ties -> cluster 0
         # move instruction 1 entirely to cluster 1: weights become
         # 0 on cluster 0, 0.25 on each slot of cluster 1
         m.scale(1, 0.0, cluster=0)
         m.normalize()
-        delta = matrix_delta(before_w, before_p, m)
-        assert delta["flips"] == 1
-        assert delta["flip_fraction"] == pytest.approx(1 / 3)
+        delta = matrix_delta(before_w, m)
+        record = trace.observe_pass("MOVE", m)
+        assert trace.last_flips == 1
+        assert record.changed_fraction == pytest.approx(1 / 3)
         # row 1 L1: |0-0.125|*2 + |0.5-0.125|*2 = 1.0, averaged over 3
         assert delta["l1_churn"] == pytest.approx(1.0 / 3)
 
@@ -228,50 +286,12 @@ class TestMatrixDelta:
 
     def test_empty_matrix(self):
         m = PreferenceMatrix(0, 2, 2)
-        delta = matrix_delta(m.checkpoint(), [], m)
+        delta = matrix_delta(m.checkpoint(), m)
         assert delta == {
             "l1_churn": 0.0,
-            "flips": 0,
-            "flip_fraction": 0.0,
             "mean_entropy": 0.0,
             "mean_confidence": 0.0,
         }
-
-
-class TestConvergenceTraceJsonl:
-    def test_round_trip_preserves_records_and_guard_events(self):
-        m = PreferenceMatrix(4, 3, 5)
-        trace = ConvergenceTrace()
-        trace.observe_initial(m)
-        m.scale(0, 10.0, cluster=2)
-        m.normalize()
-        record = trace.observe_pass("PATH", m)
-        record.wall_seconds = 0.25
-        record.l1_churn = 1.5
-        record.flips = 1
-        record.mean_entropy = 0.7
-        record.mean_confidence = 3.0
-        trace.observe_guard_event(
-            GuardEvent("NOISE", 0, "health", "NaN weight in instruction 2's row")
-        )
-        back = ConvergenceTrace.from_jsonl(trace.to_jsonl())
-        assert len(back.records) == 1
-        r = back.records[0]
-        assert (r.pass_name, r.flips, r.wall_seconds) == ("PATH", 1, 0.25)
-        assert r.changed_fraction == pytest.approx(record.changed_fraction)
-        assert r.l1_churn == 1.5 and r.mean_confidence == 3.0
-        (event,) = back.guard_events
-        assert event.pass_name == "NOISE" and event.kind == "health"
-        assert back.degraded
-
-    def test_real_run_round_trips(self):
-        machine = ClusteredVLIW(4)
-        region = build_benchmark("vvmul", machine).regions[0]
-        result = ConvergentScheduler(tracer=Tracer()).converge(region, machine)
-        back = ConvergenceTrace.from_jsonl(result.trace.to_jsonl())
-        assert [r.to_dict() for r in back.records] == [
-            r.to_dict() for r in result.trace.records
-        ]
 
 
 class TestMetricsRegistry:
@@ -307,20 +327,10 @@ class TestMetricsRegistry:
         assert a.histogram("x").max == 3.0
 
     def test_empty_histogram_dict_is_finite(self):
-        h = Histogram()
+        h = QuantileHistogram()
         d = h.to_dict()
         assert d["min"] == 0.0 and d["max"] == 0.0 and d["mean"] == 0.0
-        assert Histogram.from_dict(d).count == 0
-
-    def test_trace_to_registry(self):
-        tracer = Tracer()
-        with tracer.span("simulate"):
-            pass
-        tracer.event("guard")
-        reg = trace_to_registry(tracer.records)
-        assert reg.counter("span.simulate") == 1
-        assert reg.counter("event.guard") == 1
-        assert reg.histogram("span.simulate.seconds").count == 1
+        assert QuantileHistogram.from_dict(d).count == 0
 
 
 class TestHarnessIntegration:
@@ -389,7 +399,8 @@ class TestRendering:
         machine = ClusteredVLIW(4)
         region = build_benchmark("vvmul", machine).regions[0]
         tracer = Tracer()
-        ConvergentScheduler(tracer=tracer).converge(region, machine)
+        with tracing(tracer):
+            ConvergentScheduler().converge(region, machine)
         trace_text = render_trace(tracer.records)
         assert "confidence" in trace_text and "PATHPROP" in trace_text
         assert "confidence/pass" in trace_text

@@ -376,6 +376,136 @@ class TestVerifySchedule:
             )
 
 
+def _scan_availability(schedule, producer_uid, cluster):
+    """Reference availability: scan every transfer for the earliest arrival."""
+    op = schedule.ops.get(producer_uid)
+    if op is None:
+        return None
+    if op.cluster == cluster:
+        return op.finish
+    arrivals = [
+        ev.arrival
+        for ev in schedule.comms
+        if ev.producer_uid == producer_uid and ev.dst == cluster
+    ]
+    return min(arrivals) if arrivals else None
+
+
+def _arrival_findings(region, schedule):
+    """V208/V210 (code, message) as the per-edge scan reported them."""
+    ddg = region.ddg
+    found = []
+    for edge in ddg.edges():
+        if edge.src not in schedule.ops or edge.dst not in schedule.ops:
+            continue
+        if not (edge.carries_value and ddg.instruction(edge.src).defines_value):
+            continue
+        dst_op = schedule.ops[edge.dst]
+        available = _scan_availability(schedule, edge.src, dst_op.cluster)
+        if available is None:
+            found.append((
+                "V210",
+                f"value {edge.src} never reaches cluster {dst_op.cluster}, "
+                f"where instruction {edge.dst} reads it",
+            ))
+        elif dst_op.start < available:
+            found.append((
+                "V208",
+                f"instruction {edge.dst} starts at cycle {dst_op.start} "
+                f"but operand {edge.src} arrives at {available}",
+            ))
+    return found
+
+
+class TestArrivalIndex:
+    """verify_schedule indexes transfer arrivals once per call instead of
+    scanning every transfer per value edge; V208/V210 must fire exactly
+    where the scan fired them."""
+
+    @staticmethod
+    def _remote_fadd(vliw):
+        from repro.ir import RegionBuilder
+        from repro.schedulers import ListScheduler
+
+        b = RegionBuilder("r")
+        x = b.li(1.0)
+        y = b.fadd(x, x)
+        b.live_out(y)
+        region = b.build()
+        schedule = ListScheduler().schedule(
+            region, vliw, assignment={0: 0, 1: 1, 2: 1}
+        )
+        return region, schedule
+
+    @staticmethod
+    def _arrival_codes(report):
+        return [
+            (d.code, d.message) for d in report.diagnostics
+            if d.code in ("V208", "V210")
+        ]
+
+    @pytest.mark.parametrize("late_first", [True, False])
+    def test_earlier_of_two_transfers_sets_availability(self, vliw, late_first):
+        region, schedule = self._remote_fadd(vliw)
+        (early,) = schedule.comms
+        late = dataclasses.replace(
+            early, issue=early.issue + 3, arrival=early.arrival + 3
+        )
+        schedule.comms = [late, early] if late_first else [early, late]
+        assert verify_schedule(region, vliw, schedule).ok
+        for start, expected in (
+            (early.arrival, []),
+            (
+                early.arrival - 1,
+                [(
+                    "V208",
+                    f"instruction 1 starts at cycle {early.arrival - 1} "
+                    f"but operand 0 arrives at {early.arrival}",
+                )],
+            ),
+        ):
+            ops = dict(schedule.ops)
+            ops[1] = dataclasses.replace(ops[1], start=start)
+            moved = Schedule(
+                region_name=schedule.region_name,
+                machine_name=schedule.machine_name,
+                ops=ops,
+                comms=list(schedule.comms),
+            )
+            report = verify_schedule(region, vliw, moved)
+            # fadd(x, x) reads operand 0 over one edge per use.
+            assert set(self._arrival_codes(report)) == set(expected)
+            assert self._arrival_codes(report) == _arrival_findings(region, moved)
+
+    def test_value_sent_elsewhere_is_v210(self, vliw):
+        region, schedule = self._remote_fadd(vliw)
+        (ev,) = schedule.comms
+        schedule.comms = [
+            dataclasses.replace(
+                ev, dst=2, resources=tuple(vliw.comm_resources(0, 2))
+            )
+        ]
+        report = verify_schedule(region, vliw, schedule)
+        assert set(self._arrival_codes(report)) == {
+            ("V210", "value 0 never reaches cluster 1, where instruction 1 reads it")
+        }
+        assert self._arrival_codes(report) == _arrival_findings(region, schedule)
+
+    @pytest.mark.parametrize("kind", sorted(CORRUPTION_REGISTRY))
+    def test_matches_scan_on_corrupted_schedules(self, case, kind):
+        region, machine, schedule = case
+        for seed in range(6):
+            corrupted = corrupt_schedule(
+                schedule, region, machine, kind, np.random.default_rng(seed)
+            )
+            if corrupted is None:
+                continue
+            report = verify_schedule(region, machine, corrupted)
+            assert self._arrival_codes(report) == _arrival_findings(
+                region, corrupted
+            )
+
+
 # ---------------------------------------------------------------------------
 # verify_matrix (V3xx)
 # ---------------------------------------------------------------------------
