@@ -36,10 +36,11 @@ a plain ``json.dumps`` oracle; a change to either requires bumping
 :data:`FINGERPRINT_SCHEMA_VERSION`.
 
 Steps 1–3 run once per distinct graph content: :func:`canonical_form`
-memoizes its result under a :func:`content_digest` of everything it
-reads, recomputed on every call, so a graph seen before costs one digest
-and a graph changed since is canonicalized afresh.  The machine section
-is memoized the same way (:func:`machine_payload_text`).
+memoizes its result under a digest of everything it reads, recomputed on
+every call from column snapshots of the live graph
+(:func:`_canonical_key`), so a graph seen before costs one digest and a
+graph changed since is canonicalized afresh.  The machine section is
+memoized under a :func:`content_digest` (:func:`machine_payload_text`).
 
 :data:`FINGERPRINT_FIELDS` is the audited schema: every field consumed
 by the fingerprint, grouped by component.  ``scripts/
@@ -127,8 +128,8 @@ CANONICAL_MEMO_CAPACITY = 1024
 _CANONICAL_MEMO = BoundedLRU(CANONICAL_MEMO_CAPACITY)
 
 
-def content_digest(value: Any) -> Optional[str]:
-    """SHA-256 hex digest of ``pickle.dumps(value, 5)``, the key of a content memo.
+def content_digest(*values: Any) -> Optional[str]:
+    """SHA-256 hex digest of each ``pickle.dumps(value, 5)`` in turn, the key of a content memo.
 
     Pickle is type-exact: ``1``, ``1.0`` and ``True``, ``0.0`` and
     ``-0.0``, ``np.int64(0)`` and ``np.float64(0.0)`` all encode
@@ -139,20 +140,24 @@ def content_digest(value: Any) -> Optional[str]:
     would not do: it writes numpy scalars as raw buffer bytes, so
     ``np.int64(0)`` and ``np.float64(0.0)`` collide, and its
     back-references follow reference counts, so one value encodes
-    differently depending on what else is alive.)
+    differently depending on what else is alive.)  Each pickle ends in
+    its own ``STOP`` opcode, so the pickles of several values, digested
+    one after another, still decode to one sequence of values.
 
     Args:
-        value: The content to key, built from builtin or numpy values.
+        values: The content to key, built from builtin or numpy values.
 
     Returns:
-        The 64-hex-digit digest, or ``None`` when pickle cannot encode
-        ``value`` — the caller then computes its result without the memo.
+        The 64-hex-digit digest, or ``None`` when pickle cannot encode a
+        value — the caller then computes its result without the memo.
     """
+    digest = hashlib.sha256()
     try:
-        data = pickle.dumps(value, 5)
+        for value in values:
+            digest.update(pickle.dumps(value, 5))
     except (pickle.PicklingError, TypeError, AttributeError, ValueError):
         return None
-    return hashlib.sha256(data).hexdigest()
+    return digest.hexdigest()
 
 
 def _digest_text(text: str) -> str:
@@ -270,25 +275,58 @@ def _edge_entries(
     )
 
 
+#: One instruction's row of the node column.  ``_value_`` is the enum
+#: member's stored value, read without ``Enum.value``'s Python-level
+#: descriptor.
+_NODE_ROW = attrgetter("opcode._value_", "home_cluster", "bank", "immediate", "operands")
+_KIND = attrgetter("kind")
+_LATENCY = attrgetter("latency")
+
+
+def _key_columns(ddg: DataDependenceGraph) -> List[List[Any]]:
+    """The columns :func:`_canonical_key` digests.
+
+    First the node column: each instruction's ``(opcode value,
+    home_cluster, bank, immediate, operands)`` by uid.  Then the
+    predecessor lists flattened in uid order as ``src``, ``kind`` and
+    ``latency`` columns, and the successor lists the same way as
+    ``dst``, ``kind`` and ``latency`` columns.  Every column is read
+    from the live graph by a C-level ``map`` over
+    :meth:`~repro.ir.ddg.DataDependenceGraph.flat_adjacency`, with no
+    tuple per edge.
+
+    The columns determine every uid's lists although they carry no
+    per-uid lengths: every edge sits in its source's successor list and
+    its destination's predecessor list, so ``uid``'s out-degree is its
+    count in the predecessor ``src`` column and its in-degree its count
+    in the successor ``dst`` column; those counts cut each flat column
+    back into its per-uid lists.
+    """
+    in_edges, out_edges = ddg.flat_adjacency()
+    return [list(map(_NODE_ROW, ddg.instructions))] + [
+        list(map(field, edges))
+        for edges, far in ((in_edges, _SRC), (out_edges, _DST))
+        for field in (far, _KIND, _LATENCY)
+    ]
+
+
 def _canonical_key(ddg: DataDependenceGraph) -> Optional[str]:
     """The content digest of everything :func:`_canonical_form` reads.
 
     That is each instruction's ``(opcode, home_cluster, bank,
     immediate, operands)`` and each uid's predecessor ``(src, kind,
     latency)`` and successor ``(dst, kind, latency)`` lists in adjacency
-    order.  The order is part of the key because the text depends on
-    it: the topological order follows the successor lists, and the
-    stable sorts of :func:`_edge_entries` and of the edge rows keep
-    adjacency order among ties such as latencies ``1`` and ``1.0``.
+    order, as the columns of :func:`_key_columns`.  The order is part of
+    the key because the text depends on it: the topological order
+    follows the successor lists, and the stable sorts of
+    :func:`_edge_entries` and of the edge rows keep adjacency order
+    among ties such as latencies ``1`` and ``1.0``.
+
+    The columns are digested one after another by
+    :func:`content_digest`, so equal keys mean equal columns.  ``None``
+    when pickle cannot encode a column.
     """
-    n = len(ddg)
-    nodes = [
-        (inst.opcode.value, inst.home_cluster, inst.bank, inst.immediate, inst.operands)
-        for inst in ddg.instructions
-    ]
-    preds = [[(e.src, e.kind, e.latency) for e in ddg.predecessors(uid)] for uid in range(n)]
-    succs = [[(e.dst, e.kind, e.latency) for e in ddg.successors(uid)] for uid in range(n)]
-    return content_digest((nodes, preds, succs))
+    return content_digest(*_key_columns(ddg))
 
 
 def canonical_form(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:

@@ -16,6 +16,7 @@ mutation invalidates the caches.
 from __future__ import annotations
 
 from collections import deque
+from itertools import chain
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .instruction import DependenceEdge, Instruction
@@ -195,6 +196,19 @@ class DataDependenceGraph:
         """All edges in the graph."""
         for out in self._succ:
             yield from out
+
+    def flat_adjacency(self) -> Tuple[List[DependenceEdge], List[DependenceEdge]]:
+        """Every predecessor list and every successor list, each flattened.
+
+        The first list is the uids' predecessor lists concatenated in
+        uid order, the second their successor lists the same way (the
+        order of :meth:`edges`); within a uid, edges keep adjacency
+        order.  Both are fresh lists read from the live adjacency on
+        every call, flattened in C, and nothing is stored, so a reader
+        that walks every edge (the fingerprint's content memo key) sees
+        the graph as it is now without a copy per uid.
+        """
+        return list(chain.from_iterable(self._pred)), list(chain.from_iterable(self._succ))
 
     def edge_count(self) -> int:
         """Total number of edges."""

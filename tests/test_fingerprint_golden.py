@@ -15,7 +15,10 @@ text is part of the cache's on-disk format.  Two checks hold it still:
   graphs;
 * **the canonical-form memo** — memoized forms equal fresh ones and the
   oracle, for the graph as it is at each call: after in-place edits, in
-  either adjacency order, with numpy scalar attributes, from 4 threads;
+  either adjacency order, with numpy scalar attributes, from 4 threads.
+  The memo key's columns decode back to every instruction and adjacency
+  list, type for type, and the key tells apart exactly the graphs the
+  earlier one-tuple-per-edge key (``_tuple_key``) did;
 * **the machine-text memo** — memoized machine texts equal the oracle
   for the machine as it is at each call, and equal machines share one.
 """
@@ -26,6 +29,7 @@ import dataclasses
 import hashlib
 import json
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -54,6 +58,7 @@ from repro.ir.instruction import Instruction
 from repro.ir.regions import Region
 from repro.machine import ClusteredVLIW, RawMachine, machine_from_spec
 from repro.schedulers import UnifiedAssignAndSchedule
+from repro.serve.wire import WireError, region_from_dict, region_to_dict
 from repro.workloads import build_benchmark
 
 #: ``(machine, program, schedule_key(...).key, ddg_fingerprint)`` for the
@@ -378,8 +383,201 @@ def _two_sources(first: Tuple[int, Any], second: Tuple[int, Any]) -> DataDepende
     return ddg
 
 
+def _graph_lists(ddg: DataDependenceGraph) -> Tuple[List[Any], List[Any], List[Any]]:
+    """Each instruction's ``(opcode value, home_cluster, bank, immediate,
+    operands)`` and each uid's predecessor ``(src, kind, latency)`` and
+    successor ``(dst, kind, latency)`` lists: one tuple per node and per
+    edge end, read through the public API."""
+    n = len(ddg)
+    return (
+        [(inst.opcode.value, inst.home_cluster, inst.bank, inst.immediate, inst.operands)
+         for inst in ddg.instructions],
+        [[(e.src, e.kind, e.latency) for e in ddg.predecessors(uid)] for uid in range(n)],
+        [[(e.dst, e.kind, e.latency) for e in ddg.successors(uid)] for uid in range(n)],
+    )
+
+
+def _tuple_key(ddg: DataDependenceGraph) -> Optional[str]:
+    """The canonical memo key as it was built before the column
+    snapshots, :func:`_graph_lists` pickled whole: the reference for
+    which graphs the column key must tell apart."""
+    return content_digest(_graph_lists(ddg))
+
+
+def _decode_key_columns(columns: List[List[Any]]) -> Tuple[List[Any], List[Any], List[Any]]:
+    """Every instruction tuple and every uid's predecessor ``(src, kind,
+    latency)`` and successor ``(dst, kind, latency)`` list, rebuilt from
+    the columns the canonical memo key digests.
+
+    The columns carry no per-uid lengths.  They need none: every edge is
+    in its source's successor list and its destination's predecessor
+    list, so a uid's out-degree is its count in the predecessor ``src``
+    column and its in-degree its count in the successor ``dst`` column.
+    """
+    nodes, pred_src, pred_kind, pred_latency, succ_dst, succ_kind, succ_latency = columns
+    n = len(nodes)
+
+    def split(rows: List[Tuple[Any, ...]], degree: Counter) -> List[List[Tuple[Any, ...]]]:
+        lists, start = [], 0
+        for uid in range(n):
+            lists.append(rows[start:start + degree[uid]])
+            start += degree[uid]
+        assert start == len(rows)
+        return lists
+
+    preds = split(list(zip(pred_src, pred_kind, pred_latency)), Counter(succ_dst))
+    succs = split(list(zip(succ_dst, succ_kind, succ_latency)), Counter(pred_src))
+    return nodes, preds, succs
+
+
+def _typed(value: Any) -> Any:
+    """``value`` with every atom paired with its type, so ``1``, ``1.0``,
+    ``True`` and ``np.int64(1)`` all compare unequal."""
+    if isinstance(value, (list, tuple)):
+        return type(value), [_typed(item) for item in value]
+    return type(value), repr(value)
+
+
+def _assert_columns_determine_graph(ddg: DataDependenceGraph) -> None:
+    decoded = _decode_key_columns(fp_mod._key_columns(ddg))
+    assert _typed(decoded) == _typed(_graph_lists(ddg))
+
+
+def _rebuilt(
+    ddg: DataDependenceGraph,
+    relabel: Optional[List[int]] = None,
+    edges: Optional[List[Any]] = None,
+) -> DataDependenceGraph:
+    """A copy of ``ddg`` with uid ``u`` renamed ``relabel[u]`` and its edges
+    re-added in the order of ``edges`` (default: ``ddg.edges()``)."""
+    n = len(ddg)
+    relabel = relabel or list(range(n))
+    old_of = {new: old for old, new in enumerate(relabel)}
+    copy = DataDependenceGraph()
+    for uid in range(n):
+        inst = ddg.instruction(old_of[uid])
+        copy.add_instruction(dataclasses.replace(
+            inst, uid=uid, operands=tuple(relabel[op] for op in inst.operands),
+        ))
+    for edge in ddg.edges() if edges is None else edges:
+        copy.add_dependence(relabel[edge.src], relabel[edge.dst], edge.latency, edge.kind)
+    return copy
+
+
+def _reordered(ddg: DataDependenceGraph) -> List[DataDependenceGraph]:
+    """``ddg``'s edge set re-added in three other orders: all reversed;
+    source by source from the last uid, which reorders predecessor lists
+    alone; destination by destination from the last, which reorders
+    successor lists alone."""
+    n = len(ddg)
+    return [
+        _rebuilt(ddg, edges=list(reversed(list(ddg.edges())))),
+        _rebuilt(ddg, edges=[e for uid in reversed(range(n)) for e in ddg.successors(uid)]),
+        _rebuilt(ddg, edges=[e for uid in reversed(range(n)) for e in ddg.predecessors(uid)]),
+    ]
+
+
+def _wire_copy(ddg: DataDependenceGraph) -> Optional[DataDependenceGraph]:
+    """``ddg`` through the serve wire's JSON, or None where the wire
+    rejects it (it takes integer edge latencies only)."""
+    document = json.loads(json.dumps(region_to_dict(Region("r", ddg))))
+    try:
+        return region_from_dict(document).ddg
+    except WireError:
+        return None
+
+
+#: In-place edits of one instruction field: ``(field, new value)``, with
+#: values that compare equal to common ones but pickle differently.
+_NODE_EDITS = st.one_of(
+    st.tuples(st.just("opcode"), st.sampled_from(_OPCODES)),
+    st.tuples(st.just("home_cluster"),
+              st.sampled_from([None, 0, 1, 0.0, True, np.int64(1), np.float64(0.0)])),
+    st.tuples(st.just("bank"), st.sampled_from([None, 0, 2, 2.0, False])),
+    st.tuples(st.just("immediate"), _IMMEDIATES),
+    st.tuples(st.just("operands"), st.sampled_from([(), (0,), (0, 0)])),
+)
+
+
+def _edited(ddg: DataDependenceGraph, uid: int, field: str, value: Any) -> DataDependenceGraph:
+    """A copy of ``ddg`` with instruction ``uid``'s ``field`` set in place."""
+    copy = _rebuilt(ddg)
+    setattr(copy.instruction(uid), field, value)
+    return copy
+
+
+def _edge_edited(ddg: DataDependenceGraph, position: int, kind: str, latency: Any):
+    """A copy of ``ddg`` with its ``position``-th edge swapped in place, in
+    both adjacency lists, for one with ``kind`` and ``latency``."""
+    copy = _rebuilt(ddg)
+    edge = list(copy.edges())[position]
+    swapped = dataclasses.replace(edge, kind=kind, latency=latency)
+    for adjacency in (copy._succ[edge.src], copy._pred[edge.dst]):
+        adjacency[adjacency.index(edge)] = swapped
+    return copy
+
+
+def _assert_separates_like_tuple_key(ddg: DataDependenceGraph, other: DataDependenceGraph):
+    column_equal = fp_mod._canonical_key(ddg) == fp_mod._canonical_key(other)
+    tuple_equal = _tuple_key(ddg) == _tuple_key(other)
+    assert column_equal == tuple_equal
+
+
 class TestCanonicalMemo:
     """Memoized canonical forms are the fresh ones, for the graph as it is now."""
+
+    @given(random_regions(), st.booleans())
+    @settings(max_examples=100, deadline=None)
+    def test_key_columns_determine_the_graph(self, region, numpy_homes):
+        ddg = region.ddg
+        if numpy_homes:
+            for inst in ddg.instructions:
+                if inst.home_cluster is not None:
+                    inst.home_cluster = np.int64(inst.home_cluster)
+        _assert_columns_determine_graph(ddg)
+
+    def test_suite_key_columns_determine_the_graph(self):
+        for spec, name, _, _ in GOLDEN_KEYS:
+            _assert_columns_determine_graph(_suite_region(spec, name)[0].ddg)
+
+    @given(random_regions(), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_column_key_separates_what_the_tuple_key_does(self, region, data):
+        ddg = region.ddg
+        n = len(ddg)
+        others = [_rebuilt(ddg, relabel=list(reversed(range(n)))), *_reordered(ddg)]
+        wired = _wire_copy(ddg)
+        if wired is not None:
+            others.append(wired)
+        uid = data.draw(st.integers(min_value=0, max_value=n - 1))
+        field, value = data.draw(_NODE_EDITS)
+        if field == "operands":
+            value = tuple(op for op in value if op < uid)
+        others.append(_edited(ddg, uid, field, value))
+        edges = ddg.edge_count()
+        if edges:
+            others.append(_edge_edited(
+                ddg,
+                data.draw(st.integers(min_value=0, max_value=edges - 1)),
+                data.draw(st.sampled_from(["data", "mem", "order"])),
+                data.draw(_LATENCIES),
+            ))
+        for other in others:
+            _assert_separates_like_tuple_key(ddg, other)
+
+    def test_suite_column_key_separates_what_the_tuple_key_does(self):
+        for spec, name, _, _ in GOLDEN_KEYS:
+            ddg = _suite_region(spec, name)[0].ddg
+            n = len(ddg)
+            others = [
+                _rebuilt(ddg, relabel=list(reversed(range(n)))),
+                *_reordered(ddg),
+                _wire_copy(ddg),
+                _edited(ddg, n - 1, "immediate", 2.0),
+                _edge_edited(ddg, 0, "data", 1.0),
+            ]
+            for other in others:
+                _assert_separates_like_tuple_key(ddg, other)
 
     @given(random_regions())
     @settings(max_examples=60, deadline=None)
