@@ -76,6 +76,11 @@ REGION_MEMO_CAPACITY = 1024
 #: caches are content-addressed, so they never need invalidation.
 RESPONSE_CACHE_CAPACITY = 1024
 
+#: Entries kept in the machine memo: spec string → the one ``Machine``
+#: every request naming that spec shares (see :func:`~repro.serve.wire.
+#: parse_request`).
+SPEC_MEMO_CAPACITY = 64
+
 #: HTTP status reason phrases the server emits.
 _REASONS = {
     200: "OK",
@@ -189,6 +194,7 @@ class CompileServer:
         self._inflight: Dict[str, asyncio.Future] = {}
         self._parse_cache = BoundedLRU(PARSE_CACHE_CAPACITY)
         self._region_memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        self._machines = BoundedLRU(SPEC_MEMO_CAPACITY)
         self._response_cache = BoundedLRU(RESPONSE_CACHE_CAPACITY)
         self._per_client: Dict[str, int] = {}
         self._task_index = 0
@@ -510,10 +516,12 @@ class CompileServer:
             The validated request.
         """
         try:
-            data = json.loads(body.decode("utf-8"))
+            data = json.loads(body)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise WireError("body", f"invalid JSON: {exc}")
-        return parse_request(data, self.registry, self._region_memo)
+        return parse_request(
+            data, self.registry, self._region_memo, self._machines
+        )
 
     async def _compile_parsed(
         self, parsed: ParsedRequest

@@ -1,9 +1,15 @@
 """Wire schema for the compile service.
 
 The ``POST /compile`` body is a self-describing JSON document carrying
-a whole :class:`~repro.ir.regions.Program` (explicit instruction and
-edge lists — no client-side pickling), a machine spec string, and a
-scheduler configuration.  This module is the single source of truth
+a whole :class:`~repro.ir.regions.Program`, a machine spec string, and a
+scheduler configuration.  Each region's dependence graph travels as
+columns (wire schema 2): ``instructions`` is an object of parallel
+lists indexed by uid (:data:`INSTRUCTION_COLUMNS`) and ``edges`` one of
+parallel lists in :func:`_edge_emission_order`, the order that rebuilds
+every adjacency list exactly (:data:`EDGE_COLUMNS`) — plain JSON, no
+client-side pickling.  There is one format: a body of any other schema,
+the row-shaped schema 1 included, is a structured 400 at
+``request.schema``.  This module is the single source of truth
 for that format: serializers used by clients (:func:`program_to_dict`,
 :func:`compile_request`), strict validating deserializers used by the
 server (:func:`parse_request`), and the request fingerprint
@@ -13,7 +19,8 @@ request hashing, in-flight deduplication, and schedule-cache addressing
 all share one relabelling-invariant notion of identity.
 
 Every validation failure raises :class:`WireError` with a JSON-path
-``field``; the server maps it to a structured HTTP 400.  A request that
+``field`` naming the column and index (``regions[0].edges.dst[7]``);
+the server maps it to a structured HTTP 400.  A request that
 parses cleanly round-trips: ``program_from_dict(program_to_dict(p))``
 rebuilds an equivalent program whose per-region fingerprints are
 identical to the original's (pinned by ``tests/test_serve.py``).
@@ -56,7 +63,7 @@ from ..schedulers.base import Scheduler
 
 #: Bump on any incompatible change to the request/response JSON shape;
 #: the server rejects other versions with a structured 400.
-WIRE_SCHEMA_VERSION = 1
+WIRE_SCHEMA_VERSION = 2
 
 #: ``kind`` discriminator of a compile request document.
 REQUEST_KIND = "compile_request"
@@ -122,14 +129,24 @@ def _expect(
             raise WireError(f"{field}.{key}", "missing required field")
         return default
     value = data[key]
+    problem = _type_error(value, kinds)
+    if problem is not None:
+        raise WireError(f"{field}.{key}", problem)
+    return value
+
+
+def _type_error(value: Any, kinds: tuple) -> Optional[str]:
+    """Why ``value`` is not one of ``kinds``, or ``None`` when it is.
+
+    ``bool`` is never accepted for numeric kinds unless listed — JSON
+    ``true`` must not pass as ``1``.
+    """
     if isinstance(value, bool) and bool not in kinds:
-        raise WireError(f"{field}.{key}", "expected a number, got a boolean")
+        return "expected a number, got a boolean"
     if not isinstance(value, kinds):
         expected = "/".join(k.__name__ for k in kinds)
-        raise WireError(
-            f"{field}.{key}", f"expected {expected}, got {type(value).__name__}"
-        )
-    return value
+        return f"expected {expected}, got {type(value).__name__}"
+    return None
 
 
 # ----------------------------------------------------------------------
@@ -137,16 +154,22 @@ def _expect(
 # ----------------------------------------------------------------------
 
 
-def instruction_to_dict(inst: Instruction) -> Dict[str, Any]:
-    """Serialize one instruction (uid implied by list position)."""
-    return {
-        "opcode": inst.opcode.value,
-        "operands": list(inst.operands),
-        "home_cluster": inst.home_cluster,
-        "name": inst.name,
-        "bank": inst.bank,
-        "immediate": inst.immediate,
-    }
+#: The instruction columns of a region document, each one entry per
+#: instruction in uid order.  ``opcode`` is required and fixes the
+#: instruction count; an absent column gives every instruction its
+#: default (no operands, not preplaced, no name, no bank, no immediate).
+INSTRUCTION_COLUMNS = ("opcode", "operands", "home_cluster", "name", "bank", "immediate")
+
+#: The edge columns of a region document, each one entry per edge in
+#: :func:`_edge_emission_order`; all four are required when ``edges`` is.
+EDGE_COLUMNS = ("src", "dst", "latency", "kind")
+
+#: Opcode by wire name.
+_OPCODES = {opcode.value: opcode for opcode in Opcode}
+
+#: Each edge kind, mapped to the literal the in-process builders use, so
+#: a decoded graph shares their string objects (see :func:`region_from_dict`).
+_EDGE_KINDS = {kind: kind for kind in ("data", "mem", "order")}
 
 
 def _edge_emission_order(ddg: DataDependenceGraph) -> List[Any]:
@@ -196,13 +219,14 @@ def _edge_emission_order(ddg: DataDependenceGraph) -> List[Any]:
 
 
 def region_to_dict(region: Region) -> Dict[str, Any]:
-    """Serialize one region with explicit instruction and edge lists.
+    """Serialize one region with its graph as instruction and edge columns.
 
-    Edges are emitted exhaustively (including the operand-derived data
-    edges) in :func:`_edge_emission_order`, so deserialization rebuilds
-    the graph with :meth:`~repro.ir.ddg.DataDependenceGraph.
-    add_instruction` + :meth:`~repro.ir.ddg.DataDependenceGraph.
-    add_dependence` and reproduces the exact adjacency-list orders —
+    ``instructions`` holds one list per :data:`INSTRUCTION_COLUMNS`
+    entry, indexed by uid; ``edges`` one list per :data:`EDGE_COLUMNS`
+    entry, every edge (the operand-derived data edges included) in
+    :func:`_edge_emission_order`.  Deserialization re-adds the edges in
+    that order with :meth:`~repro.ir.ddg.DataDependenceGraph.
+    add_dependence` and so reproduces the exact adjacency-list orders —
     schedulers tie-break on them, and served schedules must be
     byte-identical to serial ones.
 
@@ -213,18 +237,23 @@ def region_to_dict(region: Region) -> Dict[str, Any]:
         The JSON-safe region document.
     """
     ddg = region.ddg
+    instructions = ddg.instructions
+    edges = _edge_emission_order(ddg)
     return {
         "name": region.name,
         "kind": region.kind.value,
         "trip_count": region.trip_count,
         "ddg_name": ddg.name,
-        "instructions": [
-            instruction_to_dict(ddg.instruction(uid)) for uid in range(len(ddg))
-        ],
-        "edges": [
-            [edge.src, edge.dst, edge.latency, edge.kind]
-            for edge in _edge_emission_order(ddg)
-        ],
+        "instructions": {
+            "opcode": [inst.opcode.value for inst in instructions],
+            "operands": [list(inst.operands) for inst in instructions],
+            **{column: [getattr(inst, column) for inst in instructions]
+               for column in INSTRUCTION_COLUMNS[2:]},
+        },
+        "edges": {
+            column: [getattr(edge, column) for edge in edges]
+            for column in EDGE_COLUMNS
+        },
     }
 
 
@@ -236,58 +265,127 @@ def program_to_dict(program: Program) -> Dict[str, Any]:
     }
 
 
-def _instruction_from_dict(
-    data: Any, uid: int, n_instructions: int, field: str
-) -> Instruction:
-    """Validate and rebuild one instruction document.
+def _column(
+    table: Mapping[str, Any],
+    key: str,
+    length: int,
+    field: str,
+    required: bool = False,
+    default: Any = None,
+) -> List[Any]:
+    """Fetch column ``table[key]`` and check it holds ``length`` entries.
 
     Args:
-        data: The instruction JSON object.
-        uid: Its position (= uid) in the region's instruction list.
-        n_instructions: Region instruction count, for operand bounds.
+        table: The JSON object holding the columns.
+        key: Column name.
+        length: Entries the column must hold.
+        field: JSON-path of ``table`` for error reporting.
+        required: Whether a missing column is an error.
+        default: Every entry of an absent, optional column.
+
+    Returns:
+        The column (or ``length`` copies of ``default``).
+    """
+    if key not in table:
+        if required:
+            raise WireError(f"{field}.{key}", "missing required column")
+        return [default] * length
+    column = table[key]
+    if not isinstance(column, list):
+        raise WireError(f"{field}.{key}",
+                        f"column must be a list, got {type(column).__name__}")
+    if len(column) != length:
+        # Name the first position where the column and the count disagree.
+        raise WireError(f"{field}.{key}[{min(len(column), length)}]",
+                        f"column has {len(column)} entries, expected {length}")
+    return column
+
+
+def _check_entries(
+    column: List[Any], kinds: tuple, field: str, non_negative: bool = False
+) -> None:
+    """Raise :class:`WireError` at the first entry of ``column`` not of ``kinds``.
+
+    Args:
+        column: The column to check.
+        kinds: Acceptable types, as for :func:`_expect`.
+        field: JSON-path of ``column``; an error names ``field[index]``.
+        non_negative: Also reject numbers below zero.
+    """
+    for index, value in enumerate(column):
+        problem = _type_error(value, kinds)
+        if problem is None and non_negative and value is not None and value < 0:
+            problem = "must be non-negative"
+        if problem is not None:
+            raise WireError(f"{field}[{index}]", problem)
+
+
+def _check_uids(column: List[Any], count: int, field: str) -> None:
+    """Raise :class:`WireError` at the first entry of ``column`` that is not
+    a uid in ``[0, count)``; an error names ``field[index]``."""
+    for index, uid in enumerate(column):
+        if isinstance(uid, bool) or not isinstance(uid, int):
+            raise WireError(f"{field}[{index}]", "uid must be an integer")
+        if not 0 <= uid < count:
+            raise WireError(f"{field}[{index}]", f"uid {uid} out of range")
+
+
+def _instructions_from_columns(
+    data: Mapping[str, Any], field: str
+) -> List[Instruction]:
+    """Validate the instruction columns and rebuild every instruction.
+
+    Args:
+        data: The ``instructions`` JSON object.
         field: JSON-path of ``data``.
 
     Returns:
-        The rebuilt :class:`Instruction`.
+        The instructions, in uid order.
     """
-    if not isinstance(data, dict):
-        raise WireError(field, "instruction must be an object")
-    opcode_name = _expect(data, "opcode", (str,), field)
-    try:
-        opcode = Opcode(opcode_name)
-    except ValueError:
-        raise WireError(f"{field}.opcode", f"unknown opcode {opcode_name!r}")
-    operands = _expect(data, "operands", (list,), field,
-                       required=False, default=[])
-    for position, operand in enumerate(operands):
-        if isinstance(operand, bool) or not isinstance(operand, int):
-            raise WireError(f"{field}.operands[{position}]",
-                            "operand uid must be an integer")
-        if not 0 <= operand < n_instructions:
-            raise WireError(f"{field}.operands[{position}]",
-                            f"uid {operand} out of range")
-    home = _expect(data, "home_cluster", (int, type(None)), field,
-                   required=False)
-    if home is not None and home < 0:
-        raise WireError(f"{field}.home_cluster", "must be non-negative")
-    bank = _expect(data, "bank", (int, type(None)), field, required=False)
+    opcode_names = _expect(data, "opcode", (list,), field)
+    n = len(opcode_names)
+    if not n:
+        raise WireError(field, "region must have at least one instruction")
+    if n > MAX_INSTRUCTIONS:
+        raise WireError(field, f"too many instructions (max {MAX_INSTRUCTIONS})")
+    _check_entries(opcode_names, (str,), f"{field}.opcode")
+    for uid, opcode_name in enumerate(opcode_names):
+        if opcode_name not in _OPCODES:
+            raise WireError(f"{field}.opcode[{uid}]",
+                            f"unknown opcode {opcode_name!r}")
+    operands = _column(data, "operands", n, field, default=[])
+    _check_entries(operands, (list,), f"{field}.operands")
+    for uid, uids in enumerate(operands):
+        _check_uids(uids, n, f"{field}.operands[{uid}]")
+    homes = _column(data, "home_cluster", n, field)
+    _check_entries(homes, (int, type(None)), f"{field}.home_cluster",
+                   non_negative=True)
+    names = _column(data, "name", n, field, default="")
+    _check_entries(names, (str,), f"{field}.name")
+    banks = _column(data, "bank", n, field)
+    _check_entries(banks, (int, type(None)), f"{field}.bank")
     # Kept as the JSON number type it arrived as: the DDG fingerprint
     # tells ``2`` from ``2.0``, so a round trip must not turn one into the other.
-    immediate = _expect(data, "immediate", (int, float, type(None)), field,
-                        required=False)
-    name = _expect(data, "name", (str,), field, required=False, default="")
-    try:
-        return Instruction(
-            uid=uid,
-            opcode=opcode,
-            operands=tuple(operands),
-            home_cluster=home,
-            name=name,
-            bank=bank,
-            immediate=immediate,
-        )
-    except ValueError as exc:
-        raise WireError(field, str(exc))
+    immediates = _column(data, "immediate", n, field)
+    _check_entries(immediates, (int, float, type(None)), f"{field}.immediate")
+    instructions = []
+    for uid, row in enumerate(
+        zip(opcode_names, operands, homes, names, banks, immediates)
+    ):
+        opcode_name, uids, home, name, bank, immediate = row
+        try:
+            instructions.append(Instruction(
+                uid=uid,
+                opcode=_OPCODES[opcode_name],
+                operands=tuple(uids),
+                home_cluster=home,
+                name=name,
+                bank=bank,
+                immediate=immediate,
+            ))
+        except ValueError as exc:
+            raise WireError(f"{field}.operands[{uid}]", str(exc))
+    return instructions
 
 
 def region_from_dict(data: Any, field: str = "region") -> Region:
@@ -295,10 +393,14 @@ def region_from_dict(data: Any, field: str = "region") -> Region:
 
     The dependence graph is reconstructed verbatim — instructions via
     :meth:`~repro.ir.ddg.DataDependenceGraph.add_instruction` (uids are
-    list positions) and every edge via :meth:`~repro.ir.ddg.
-    DataDependenceGraph.add_dependence` with its explicit latency —
-    then structurally validated (dense uids, acyclicity), so a region
-    that parses is schedulable as-is.
+    column positions) and every edge via :meth:`~repro.ir.ddg.
+    DataDependenceGraph.add_dependence` with its explicit latency, in
+    column order — then structurally validated (dense uids,
+    acyclicity), so a region that parses is schedulable as-is.  Each
+    edge kind is replaced by the literal of :data:`_EDGE_KINDS`, so the
+    graph holds the string objects an in-process build holds and its
+    canonical memo key (a pickle, whose identity memo writes a shared
+    string once) equals that build's.
 
     Args:
         data: The region JSON object.
@@ -323,41 +425,35 @@ def region_from_dict(data: Any, field: str = "region") -> Region:
     if not 1 <= trip_count <= MAX_TRIP_COUNT:
         raise WireError(f"{field}.trip_count",
                         f"must be in [1, {MAX_TRIP_COUNT}]")
-    instructions = _expect(data, "instructions", (list,), field)
-    if not instructions:
-        raise WireError(f"{field}.instructions",
-                        "region must have at least one instruction")
-    if len(instructions) > MAX_INSTRUCTIONS:
-        raise WireError(f"{field}.instructions",
-                        f"too many instructions (max {MAX_INSTRUCTIONS})")
+    instructions = _instructions_from_columns(
+        _expect(data, "instructions", (dict,), field), f"{field}.instructions"
+    )
     ddg_name = _expect(data, "ddg_name", (str,), field,
                        required=False, default="")
     ddg = DataDependenceGraph(name=ddg_name)
-    for uid, inst_data in enumerate(instructions):
-        ddg.add_instruction(
-            _instruction_from_dict(
-                inst_data, uid, len(instructions),
-                f"{field}.instructions[{uid}]",
-            )
+    for inst in instructions:
+        ddg.add_instruction(inst)
+    edges = _expect(data, "edges", (dict,), field, required=False)
+    if edges is not None:
+        edge_field = f"{field}.edges"
+        sources = _expect(edges, "src", (list,), edge_field)
+        m = len(sources)
+        dests, latencies, kinds = (
+            _column(edges, key, m, edge_field, required=True)
+            for key in EDGE_COLUMNS[1:]
         )
-    edges = _expect(data, "edges", (list,), field, required=False, default=[])
-    for position, edge in enumerate(edges):
-        edge_field = f"{field}.edges[{position}]"
-        if (not isinstance(edge, list) or len(edge) != 4):
-            raise WireError(edge_field, "edge must be [src, dst, latency, kind]")
-        src, dst, latency, edge_kind = edge
-        for label, value in (("src", src), ("dst", dst), ("latency", latency)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise WireError(edge_field, f"{label} must be an integer")
-        if not isinstance(edge_kind, str):
-            raise WireError(edge_field, "kind must be a string")
-        for label, value in (("src", src), ("dst", dst)):
-            if not 0 <= value < len(instructions):
-                raise WireError(edge_field, f"{label} uid {value} out of range")
-        try:
-            ddg.add_dependence(src, dst, latency=latency, kind=edge_kind)
-        except (ValueError, GraphError) as exc:
-            raise WireError(edge_field, str(exc))
+        _check_uids(sources, len(instructions), f"{edge_field}.src")
+        _check_uids(dests, len(instructions), f"{edge_field}.dst")
+        _check_entries(latencies, (int,), f"{edge_field}.latency",
+                       non_negative=True)
+        _check_entries(kinds, (str,), f"{edge_field}.kind")
+        for position, edge_kind in enumerate(kinds):
+            if edge_kind not in _EDGE_KINDS:
+                raise WireError(f"{edge_field}.kind[{position}]",
+                                f"unknown edge kind {edge_kind!r}")
+        for src, dst, latency, edge_kind in zip(sources, dests, latencies, kinds):
+            ddg.add_dependence(src, dst, latency=latency,
+                               kind=_EDGE_KINDS[edge_kind])
     region = Region(name=name, ddg=ddg, kind=kind, trip_count=trip_count)
     try:
         ddg.validate()
@@ -597,18 +693,26 @@ def parse_request(
     data: Any,
     registry: Mapping[str, Callable[[], Scheduler]],
     memo: Optional[MutableMapping[str, RegionForm]] = None,
+    machines: Optional[MutableMapping[str, Machine]] = None,
 ) -> ParsedRequest:
     """Validate a ``POST /compile`` body end to end (the server half).
 
     Each region is resolved through ``memo`` (see :func:`_region_forms`):
     a region document seen before skips its parse and canonicalization,
-    and every key is the one a fresh parse would give.
+    and every key is the one a fresh parse would give.  The machine is
+    resolved through ``machines`` by spec string:
+    :func:`~repro.machine.machine_from_spec` builds a machine from the
+    spec and code constants alone, so requests naming one spec share one
+    :class:`~repro.machine.Machine`, as parse-cache hits already share
+    :attr:`ParsedRequest.machine`; nothing may mutate it.
 
     Args:
         data: The decoded JSON document.
         registry: Scheduler name → constructor map.
         memo: Region memo shared across requests; ``None`` uses a fresh
             one for this call alone.
+        machines: Spec string → machine memo shared across requests;
+            ``None`` builds the machine for this call alone.
 
     Returns:
         The :class:`ParsedRequest`, with per-region fingerprints and
@@ -628,10 +732,14 @@ def parse_request(
             f"(this server speaks {WIRE_SCHEMA_VERSION})",
         )
     machine_spec = _expect(data, "machine", (str,), field)
-    try:
-        machine = machine_from_spec(machine_spec)
-    except ValueError as exc:
-        raise WireError(f"{field}.machine", str(exc))
+    machine = None if machines is None else machines.get(machine_spec)
+    if machine is None:
+        try:
+            machine = machine_from_spec(machine_spec)
+        except ValueError as exc:
+            raise WireError(f"{field}.machine", str(exc))
+        if machines is not None:
+            machines[machine_spec] = machine
     scheduler_name = _expect(data, "scheduler", (str,), field)
     seed = _expect(data, "seed", (int, type(None)), field, required=False)
     scheduler = build_scheduler(scheduler_name, registry, seed, field)

@@ -37,6 +37,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 from hypothesis import given, settings
 
+import repro.engine.fingerprint as fp_mod
 import repro.serve.server as server_mod
 import repro.serve.wire as wire_mod
 from repro.core.convergent import ConvergentScheduler
@@ -57,7 +58,7 @@ from repro.serve import (
     program_from_dict,
     program_to_dict,
 )
-from repro.serve.server import REGION_MEMO_CAPACITY, BoundedLRU
+from repro.serve.server import REGION_MEMO_CAPACITY, SPEC_MEMO_CAPACITY, BoundedLRU
 from repro.serve.wire import build_scheduler
 from repro.serve.loadtest import http_request
 from repro.verify.sweep import scheduler_registry
@@ -286,6 +287,46 @@ class TestWireProperties:
         )
         assert original.key == roundtrip.key
 
+    def test_graph_travels_as_columns(self):
+        """Schema 2: one list per instruction column and per edge column,
+        edges in the emission order that rebuilds adjacency."""
+        region = build_benchmark("fir").regions[0]
+        data = wire_mod.region_to_dict(region)
+        ddg = region.ddg
+        n = len(ddg)
+        assert compile_request(Program("p", [region]), "vliw4", "pcc")["schema"] == 2
+        assert tuple(data["instructions"]) == wire_mod.INSTRUCTION_COLUMNS
+        assert all(len(col) == n for col in data["instructions"].values())
+        assert tuple(data["edges"]) == wire_mod.EDGE_COLUMNS
+        edges = wire_mod._edge_emission_order(ddg)
+        assert list(zip(*data["edges"].values())) == [
+            (e.src, e.dst, e.latency, e.kind) for e in edges
+        ]
+
+    def test_canonical_memo_key_survives_the_wire(self):
+        """Every suite region keeps its canonical memo key across the wire:
+        decoded edge kinds are the literals an in-process build holds, so
+        pickle writes the same bytes for both."""
+        for spec, suite in (("raw4x4", RAW_SUITE), ("vliw4", VLIW_SUITE)):
+            machine = machine_from_spec(spec)
+            for name in suite:
+                program = build_benchmark(name, machine)
+                back = program_from_dict(
+                    json.loads(json.dumps(program_to_dict(program)))
+                )
+                for region, wired in zip(program.regions, back.regions):
+                    assert fp_mod._canonical_key(wired.ddg) == fp_mod._canonical_key(
+                        region.ddg
+                    ), f"{spec}/{name}"
+
+    def test_integer_and_float_immediates_keep_their_type(self):
+        region = build_benchmark("vvmul").regions[0]
+        data = json.loads(json.dumps(wire_mod.region_to_dict(region)))
+        for value in (2, 2.0):
+            data["instructions"]["immediate"][0] = value
+            back = wire_mod.region_from_dict(data)
+            assert type(back.ddg.instruction(0).immediate) is type(value)
+
     def test_every_region_kind_round_trips(self):
         """The wire accepts all five kind strings, whatever formed the region."""
         ddg = build_benchmark("vvmul").regions[0].ddg
@@ -324,33 +365,98 @@ class TestWireProperties:
         assert first.seed == 3
 
 
+def _v1_body(body):
+    """``body`` (a decoded wire body) rewritten row by row: one object per
+    instruction and one ``[src, dst, latency, kind]`` list per edge, the
+    shape of wire schema 1."""
+    rows = copy.deepcopy(body)
+    for region in rows["program"]["regions"]:
+        columns = region["instructions"]
+        region["instructions"] = [
+            dict(zip(columns, row)) for row in zip(*columns.values())
+        ]
+        region["edges"] = [list(edge) for edge in zip(*region["edges"].values())]
+    return rows
+
+
+def _dangle(region):
+    """Append an edge to uid 10000, past every region's last uid."""
+    for column, value in zip(("src", "dst", "latency", "kind"),
+                             (0, 10_000, 1, "data")):
+        region["edges"][column].append(value)
+
+
 def _mutations():
-    """Named malformed-request bodies; each must earn a structured 400."""
+    """Named malformed-request bodies, each with the ``field`` its
+    structured 400 must name."""
     base = compile_request(build_benchmark("vvmul"), "vliw4", "convergent")
+    region = "request.program.regions[0]"
+    instructions = base["program"]["regions"][0]["instructions"]
+    n = len(instructions["opcode"])
+    m = len(base["program"]["regions"][0]["edges"]["src"])
+    reader = next(uid for uid, uids in enumerate(instructions["operands"]) if uids)
 
     def mutate(**changes):
         bad = json.loads(json.dumps(base))
         bad.update(changes)
         return bad
 
-    bad_opcode = json.loads(json.dumps(base))
-    bad_opcode["program"]["regions"][0]["instructions"][0]["opcode"] = "zorp"
-    bad_edge = json.loads(json.dumps(base))
-    bad_edge["program"]["regions"][0]["edges"].append([0, 10_000, 1, "data"])
-    bad_trip = json.loads(json.dumps(base))
-    bad_trip["program"]["regions"][0]["trip_count"] = -4
-    return {
-        "not-json": b"{nope",
-        "wrong-kind": json.dumps(mutate(kind="frobnicate")).encode(),
-        "wrong-schema": json.dumps(mutate(schema=99)).encode(),
-        "unknown-scheduler": json.dumps(mutate(scheduler="doom")).encode(),
-        "unknown-machine": json.dumps(mutate(machine="cray1")).encode(),
-        "program-not-dict": json.dumps(mutate(program=[1, 2])).encode(),
-        "bool-seed": json.dumps(mutate(seed=True)).encode(),
-        "bad-opcode": json.dumps(bad_opcode).encode(),
-        "dangling-edge": json.dumps(bad_edge).encode(),
-        "negative-trip-count": json.dumps(bad_trip).encode(),
+    def region_mutated(change):
+        bad = json.loads(json.dumps(base))
+        change(bad["program"]["regions"][0])
+        return bad
+
+    v1 = _v1_body(base)
+    v1["schema"] = 1
+    cases = {
+        "wrong-kind": (mutate(kind="frobnicate"), "request.kind"),
+        "wrong-schema": (mutate(schema=99), "request.schema"),
+        "v1-row-body": (v1, "request.schema"),
+        "v1-rows-under-v2": (_v1_body(base), f"{region}.instructions"),
+        "unknown-scheduler": (mutate(scheduler="doom"), "request.scheduler"),
+        "unknown-machine": (mutate(machine="cray1"), "request.machine"),
+        "program-not-dict": (mutate(program=[1, 2]), "request.program"),
+        "bool-seed": (mutate(seed=True), "request.seed"),
+        "bad-opcode": (
+            region_mutated(lambda r: r["instructions"]["opcode"].__setitem__(0, "zorp")),
+            f"{region}.instructions.opcode[0]",
+        ),
+        "dangling-edge": (region_mutated(_dangle), f"{region}.edges.dst[{m}]"),
+        "negative-trip-count": (
+            region_mutated(lambda r: r.__setitem__("trip_count", -4)),
+            f"{region}.trip_count",
+        ),
+        "column-length-mismatch": (
+            region_mutated(lambda r: r["instructions"]["name"].pop()),
+            f"{region}.instructions.name[{n - 1}]",
+        ),
+        "missing-opcode-column": (
+            region_mutated(lambda r: r["instructions"].pop("opcode")),
+            f"{region}.instructions.opcode",
+        ),
+        "column-not-a-list": (
+            region_mutated(lambda r: r["instructions"].__setitem__("bank", 5)),
+            f"{region}.instructions.bank",
+        ),
+        "bool-operand": (
+            region_mutated(
+                lambda r: r["instructions"]["operands"][reader].__setitem__(0, True)
+            ),
+            f"{region}.instructions.operands[{reader}][0]",
+        ),
+        "ragged-edge-columns": (
+            region_mutated(lambda r: r["edges"]["latency"].pop()),
+            f"{region}.edges.latency[{m - 1}]",
+        ),
+        "unknown-edge-kind": (
+            region_mutated(lambda r: r["edges"]["kind"].__setitem__(0, "ghost")),
+            f"{region}.edges.kind[0]",
+        ),
     }
+    mutations = {name: (json.dumps(doc).encode(), field)
+                 for name, (doc, field) in cases.items()}
+    mutations["not-json"] = (b"{nope", "body")
+    return mutations
 
 
 class TestProtocolRobustness:
@@ -358,12 +464,14 @@ class TestProtocolRobustness:
 
     @pytest.mark.parametrize("case", sorted(_mutations()))
     def test_malformed_request_gets_structured_400(self, server, case):
-        status, _, payload = _post(server, _mutations()[case])
+        body, field = _mutations()[case]
+        status, _, payload = _post(server, body)
         assert status == 400, case
         assert payload["kind"] == "error"
         error = payload["error"]
         assert error["type"] == "bad_request"
-        assert "message" in error and "field" in error
+        assert error["field"] == field
+        assert "message" in error
         assert "Traceback" not in error["message"]
 
     @pytest.mark.parametrize("length", ["twelve", "-5"])
@@ -630,18 +738,18 @@ class TestRegionMemo:
         )
         target = base["program"]["regions"][1]
         slot = next(
-            i for i, inst in enumerate(target["instructions"])
-            if isinstance(inst["immediate"], int)
+            i for i, immediate in enumerate(target["instructions"]["immediate"])
+            if isinstance(immediate, int)
         )
-        target["instructions"][slot]["immediate"] = 2
+        target["instructions"]["immediate"][slot] = 2
         memo = BoundedLRU(REGION_MEMO_CAPACITY)
         before = _keys(parse_request(base, self.REGISTRY, memo))
         changed = copy.deepcopy(base)
         region = changed["program"]["regions"][1]
         if change == "immediate":
-            region["instructions"][slot]["immediate"] = 2.0
+            region["instructions"]["immediate"][slot] = 2.0
         elif change == "latency":
-            region["edges"][0][2] += 1
+            region["edges"]["latency"][0] += 1
         else:
             region["name"] += "'"
         parsed = parse_request(changed, self.REGISTRY, memo)
@@ -692,16 +800,16 @@ class TestRegionMemo:
         parse_request(good, self.REGISTRY, memo)
         bad = copy.deepcopy(good)
         broken = copy.deepcopy(bad["program"]["regions"][0])
-        broken["edges"].append([0, 10_000, 1, "data"])
+        _dangle(broken)
         bad["program"]["regions"].append(broken)
         errors = []
         for through in (memo, memo, None):
             with pytest.raises(WireError) as caught:
                 parse_request(bad, self.REGISTRY, through)
             errors.append((caught.value.field, caught.value.message))
-        position = len(broken["edges"]) - 1
-        assert errors == [(f"request.program.regions[2].edges[{position}]",
-                           "dst uid 10000 out of range")] * 3
+        position = len(broken["edges"]["dst"]) - 1
+        assert errors == [(f"request.program.regions[2].edges.dst[{position}]",
+                           "uid 10000 out of range")] * 3
 
     def test_threads_share_one_memo(self):
         suite = [p for _, p in _suite("vliw4")]
@@ -739,6 +847,31 @@ class TestRegionMemo:
             parsed = parse_request(data, self.REGISTRY, memo)
             assert _keys(parsed) == _unmemoized_keys(data)
         assert memo.peak == len(memo) == 2
+
+    def test_requests_naming_one_spec_share_one_machine(self):
+        """Two different raw4x4 bodies resolve to one ``Machine`` through
+        the server's spec memo, with the keys of a fresh parse."""
+        suite = dict(_suite("raw4x4"))
+        bodies = [_decoded(suite[name], "raw4x4") for name in ("sha", "mxm")]
+        machines = BoundedLRU(SPEC_MEMO_CAPACITY)
+        memo = BoundedLRU(REGION_MEMO_CAPACITY)
+        first, second = (
+            parse_request(data, self.REGISTRY, memo, machines) for data in bodies
+        )
+        assert first.machine is second.machine
+        for data, parsed in zip(bodies, (first, second)):
+            assert _keys(parsed) == _keys(parse_request(data, self.REGISTRY))
+            assert _keys(parsed) == _unmemoized_keys(data)
+        with pytest.raises(WireError):
+            parse_request(dict(bodies[0], machine="cray1"), self.REGISTRY,
+                          memo, machines)
+        assert len(machines) == 1
+        with ServerThread() as thread:
+            first, second = (
+                thread.server._parse_body(_body(suite[name], "raw4x4", "pcc"))
+                for name in ("sha", "mxm")
+            )
+        assert first.machine is second.machine
 
     def test_recombined_body_hits_region_memo(self):
         """Programs A and B, then A+B: every region of the new body comes
