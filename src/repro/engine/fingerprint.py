@@ -36,11 +36,16 @@ a plain ``json.dumps`` oracle; a change to either requires bumping
 :data:`FINGERPRINT_SCHEMA_VERSION`.
 
 Steps 1–3 run once per distinct graph content: :func:`canonical_form`
-memoizes its result under a digest of everything it reads, recomputed on
-every call from column snapshots of the live graph
-(:func:`_canonical_key`), so a graph seen before costs one digest and a
-graph changed since is canonicalized afresh.  The machine section is
-memoized under a :func:`content_digest` (:func:`machine_payload_text`).
+memoizes its result under a digest of everything it reads, recomputed
+from column snapshots of the live graph (:func:`_canonical_key`), so a
+graph equal to one seen before costs one digest and a graph changed
+since is canonicalized afresh.  In front of that sits a per-graph memo
+that skips even the digest while a stamp read from the graph — its
+``instructions`` tuple, the instruction write count and its edge
+objects — proves that nothing the digest reads has changed (see
+:func:`canonical_form` for why that holds and what bypasses it).  The
+machine section is memoized under a :func:`content_digest`
+(:func:`machine_payload_text`).
 
 :data:`FINGERPRINT_FIELDS` is the audited schema: every field consumed
 by the fingerprint, grouped by component.  ``scripts/
@@ -53,13 +58,14 @@ from __future__ import annotations
 import hashlib
 import json
 import pickle
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from operator import attrgetter, is_
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..ir.ddg import DataDependenceGraph
-from ..ir.instruction import DependenceEdge
+from ..ir.instruction import DependenceEdge, Instruction, instruction_writes
 from ..ir.opcode import Opcode
 from ..ir.regions import Region
 from ..machine import machine_from_spec
@@ -283,8 +289,39 @@ _KIND = attrgetter("kind")
 _LATENCY = attrgetter("latency")
 
 
-def _key_columns(ddg: DataDependenceGraph) -> List[List[Any]]:
-    """The columns :func:`_canonical_key` digests.
+#: One graph's stamp (see :func:`_stamp`): its ``instructions`` tuple,
+#: the instruction write count and its two flat adjacency lists.
+_Stamp = Tuple[Sequence[Instruction], int, List[DependenceEdge], List[DependenceEdge]]
+_Form = Tuple[Tuple[int, ...], str]
+
+#: :func:`canonical_form`'s per-graph memo: graph -> ``(stamp, form)``.
+#: Weakly keyed, so a freed graph frees its entry; it lives in this
+#: module only, so a pickled or copied graph never carries one.
+_STAMPED: "weakref.WeakKeyDictionary[DataDependenceGraph, Tuple[_Stamp, _Form]]" = (
+    weakref.WeakKeyDictionary()
+)
+
+
+def _stamp(ddg: DataDependenceGraph) -> _Stamp:
+    """What proves ``ddg`` unchanged, read before any of its content.
+
+    The ``instructions`` tuple object (a new one after every
+    mutation through the graph's API), the process-wide count of
+    instruction attribute writes
+    (:func:`~repro.ir.instruction.instruction_writes`) and the two lists
+    of :meth:`~repro.ir.ddg.DataDependenceGraph.flat_adjacency`.  The
+    stamp holds its tuple and edges alive, so no other object can take
+    their identities while it is stored.
+    """
+    return (ddg.instructions, instruction_writes(), *ddg.flat_adjacency())
+
+
+def _key_columns(ddg: DataDependenceGraph, stamp: Optional[_Stamp] = None) -> List[List[Any]]:
+    """The columns :func:`_canonical_key` digests, read through ``stamp``.
+
+    ``stamp`` is a :func:`_stamp` of ``ddg`` just taken (``None`` takes
+    one): the columns are read from its ``instructions`` tuple and flat
+    adjacency lists, so they are exactly what the stamp vouches for.
 
     First the node column: each instruction's ``(opcode value,
     home_cluster, bank, immediate, operands)`` by uid.  Then the
@@ -302,8 +339,8 @@ def _key_columns(ddg: DataDependenceGraph) -> List[List[Any]]:
     in the successor ``dst`` column; those counts cut each flat column
     back into its per-uid lists.
     """
-    in_edges, out_edges = ddg.flat_adjacency()
-    return [list(map(_NODE_ROW, ddg.instructions))] + [
+    instructions, _, in_edges, out_edges = stamp or _stamp(ddg)
+    return [list(map(_NODE_ROW, instructions))] + [
         list(map(field, edges))
         for edges, far in ((in_edges, _SRC), (out_edges, _DST))
         for field in (far, _KIND, _LATENCY)
@@ -329,28 +366,91 @@ def _canonical_key(ddg: DataDependenceGraph) -> Optional[str]:
     return content_digest(*_key_columns(ddg))
 
 
-def canonical_form(ddg: DataDependenceGraph) -> Tuple[Tuple[int, ...], str]:
+def _same_edges(old: List[DependenceEdge], new: List[DependenceEdge]) -> bool:
+    """True when ``new`` holds the very edge objects of ``old``, in order."""
+    return len(old) == len(new) and all(map(is_, old, new))
+
+
+def _stamp_holds(old: _Stamp, new: _Stamp) -> bool:
+    """True when nothing :func:`_key_columns` reads changed between two stamps."""
+    return (
+        old[0] is new[0]
+        and old[1] == new[1]
+        and _same_edges(old[2], new[2])
+        and _same_edges(old[3], new[3])
+    )
+
+
+def _hashable(columns: List[List[Any]]) -> bool:
+    """True when every value in ``columns`` hashes.
+
+    The builtin and numpy values a graph holds hash exactly when they
+    cannot change in place (a list or an array set as an attribute does
+    not), and only such content may be stamped: the stamp sees writes to
+    an instruction or an adjacency list, not edits inside a value.
+    """
+    try:
+        for column in columns:
+            hash(tuple(column))
+    except TypeError:
+        return False
+    return True
+
+
+def canonical_form(ddg: DataDependenceGraph) -> _Form:
     """The canonical permutation and the canonical DDG section's JSON text.
 
     This is what :func:`schedule_key` derives from the graph; a caller
     that keys the same unchanged graph many times can compute it once
     and hand it over as ``schedule_key(..., canonical=...)``.
 
-    Results are memoized per process by content, never by object:
-    graphs are mutable, so a memo keyed on the graph could serve the
-    text of a graph that has since changed — a wrong cache hit.  The key
-    (:func:`_canonical_key`) is a digest of everything the computation
-    reads, recomputed on every call, so a graph edited in place gets its
-    fresh text.  (The machine payload text has a content memo of its
-    own, :func:`machine_payload_text`; the scheduler payload is rebuilt
-    on every call.)
+    Two memos sit in front of the computation (:func:`_canonical_form`):
+
+    * a **stamped per-graph memo** (``_STAMPED``), which returns the
+      form stored for this graph object when its :func:`_stamp` still
+      holds: the same ``instructions`` tuple (``is``), an equal
+      instruction write count, and both flat adjacency lists equal in
+      length and holding the same edge objects in order.  That covers
+      exactly what :func:`_key_columns` reads.  ``DependenceEdge`` is
+      frozen, so the same edge object means the same content.  Any
+      adjacency list edit — through the API or by swapping or
+      reordering elements in place — changes an element's identity,
+      the order or the length.  Every instruction attribute write bumps the count.  A
+      write into the private ``_instructions`` list leaves the
+      ``instructions`` view stale, so the columns do not see it either,
+      until the next mutation through the API replaces the view.  On a
+      mismatch the columns are read through the new stamp — its tuple
+      and edge lists, after its write count — and the stamp is stored
+      only when every column value hashes (see :func:`_hashable`).  What it cannot see:
+      ``object.__setattr__`` on an edge or an instruction, writes into
+      an instruction's ``__dict__``, and an in-place change inside a
+      hashable attribute value.  The memo is weakly keyed and never
+      pickled: a copied or unpickled graph is a new key, and a freed
+      graph frees its entry;
+    * a **content memo** (``_CANONICAL_MEMO``), reached on any stamp
+      mismatch, keyed by a digest of everything the computation reads
+      (:func:`_canonical_key`), recomputed on every call, so equal
+      graphs share one form and a graph edited in place gets its fresh
+      text.
+
+    Either way the text is byte for byte what the computation gives.
+    (The machine payload text has a content memo of its own,
+    :func:`machine_payload_text`; the scheduler payload is rebuilt on
+    every call.)
     """
-    key = _canonical_key(ddg)
+    stamp = _stamp(ddg)
+    entry = _STAMPED.get(ddg)
+    if entry is not None and _stamp_holds(entry[0], stamp):
+        return entry[1]
+    columns = _key_columns(ddg, stamp)
+    key = content_digest(*columns)
     form = None if key is None else _CANONICAL_MEMO.get(key)
     if form is None:
         form = _canonical_form(ddg)
         if key is not None:
             _CANONICAL_MEMO[key] = form
+    if _hashable(columns):
+        _STAMPED[ddg] = (stamp, form)
     return form
 
 
@@ -517,15 +617,23 @@ MACHINE_MEMO_CAPACITY = 64
 _MACHINE_MEMO = BoundedLRU(MACHINE_MEMO_CAPACITY)
 
 
+#: Machine attributes :func:`machine_payload` never reads: the feasibility
+#: tables ``Machine.__init__`` derives from the clusters, left out of the
+#: memo key.
+_DERIVED_MACHINE_ATTRS = frozenset({"class_mask", "class_clusters", "class_units"})
+
+
 def machine_payload_text(machine: Machine) -> str:
     """The encoded :func:`machine_payload` of ``machine``, memoized by content.
 
-    The memo key is the :func:`content_digest` of the machine's pickled
-    state plus the two class-level memory fields the payload reads
-    (``memory_affinity``, ``remote_mem_penalty``), recomputed on every
-    call, so a machine changed in place — a bumped latency — gets fresh
-    text, and equal machines share one entry.  A machine pickle cannot
-    encode is encoded afresh every time.
+    The memo key is the :func:`content_digest` of the machine's class,
+    its instance attributes but the derived feasibility tables
+    (``class_mask``, ``class_clusters``, ``class_units``, which the
+    payload never reads), and the two class-level memory fields the
+    payload reads (``memory_affinity``, ``remote_mem_penalty``),
+    recomputed on every call, so a machine changed in place — a bumped
+    latency — gets fresh text, and equal machines share one entry.  A
+    machine pickle cannot encode is encoded afresh every time.
 
     Args:
         machine: The machine model to serialize.
@@ -533,8 +641,12 @@ def machine_payload_text(machine: Machine) -> str:
     Returns:
         The payload's JSON text, as :func:`schedule_key` embeds it.
     """
+    state = {
+        name: value for name, value in vars(machine).items()
+        if name not in _DERIVED_MACHINE_ATTRS
+    }
     key = content_digest(
-        (machine, machine.memory_affinity, machine.remote_mem_penalty)
+        (type(machine), state, machine.memory_affinity, machine.remote_mem_penalty)
     )
     text = None if key is None else _MACHINE_MEMO.get(key)
     if text is None:

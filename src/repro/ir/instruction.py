@@ -11,12 +11,41 @@ across scheduling regions and has a fixed home cluster.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from itertools import count
+from typing import Any, Iterable, Optional, Tuple
 
 from .opcode import FuncClass, Opcode
 
+#: The process-wide write counter: each instruction attribute write takes
+#: its next number and stores it in ``_last_write``.
+_WRITE_NUMBERS = count(1)
+_last_write = 0
 
-@dataclass
+_set = object.__setattr__
+
+
+def instruction_writes() -> int:
+    """The count of :class:`Instruction` attribute writes so far in this process.
+
+    Every ``inst.field = value`` after construction takes the next
+    number from one counter and stores it here, so an unchanged value
+    proves that no instruction of any graph was written since it was
+    read; the fingerprint's per-graph memo
+    (``repro.engine.fingerprint.canonical_form``) reads it as part of
+    its stamp.  ``next()`` on the counter is atomic, so under threads
+    each write still stores a number no other write stores, and a write
+    that lands after a read changes what the next read returns.
+
+    Construction (and so ``dataclasses.replace``) stores its fields with
+    ``object.__setattr__``, and unpickling and ``copy.deepcopy`` fill
+    ``__dict__`` directly: none of them counts a write.  For the same
+    reason ``object.__setattr__`` and writes into ``__dict__`` bypass
+    the count.
+    """
+    return _last_write
+
+
+@dataclass(init=False)
 class Instruction:
     """A single operation in a scheduling region.
 
@@ -42,13 +71,39 @@ class Instruction:
     #: Constant payload for LI pseudo-source values (used by the simulator).
     immediate: Optional[float] = None
 
-    def __post_init__(self) -> None:
-        self.operands = tuple(self.operands)
-        if self.uid < 0:
-            raise ValueError(f"instruction uid must be non-negative, got {self.uid}")
-        for op in self.operands:
-            if op == self.uid:
-                raise ValueError(f"instruction {self.uid} cannot depend on itself")
+    def __init__(
+        self,
+        uid: int,
+        opcode: Opcode,
+        operands: Iterable[int] = (),
+        home_cluster: Optional[int] = None,
+        name: str = "",
+        bank: Optional[int] = None,
+        immediate: Optional[float] = None,
+    ) -> None:
+        # Written by hand so construction bypasses the counting
+        # __setattr__: each field is stored once by object.__setattr__.
+        # (Filling ``self.__dict__`` instead would be cheaper here, but on
+        # CPython 3.11 it moves the instance's inline attribute values
+        # into a dict, which makes every later attribute read slower.)
+        operands = tuple(operands)
+        _set(self, "uid", uid)
+        _set(self, "opcode", opcode)
+        _set(self, "operands", operands)
+        _set(self, "home_cluster", home_cluster)
+        _set(self, "name", name)
+        _set(self, "bank", bank)
+        _set(self, "immediate", immediate)
+        if uid < 0:
+            raise ValueError(f"instruction uid must be non-negative, got {uid}")
+        if uid in operands:
+            raise ValueError(f"instruction {uid} cannot depend on itself")
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        """Set an attribute and take the next write number (see :func:`instruction_writes`)."""
+        _set(self, name, value)
+        global _last_write
+        _last_write = next(_WRITE_NUMBERS)
 
     @property
     def preplaced(self) -> bool:

@@ -19,21 +19,33 @@ text is part of the cache's on-disk format.  Two checks hold it still:
   The memo key's columns decode back to every instruction and adjacency
   list, type for type, and the key tells apart exactly the graphs the
   earlier one-tuple-per-edge key (``_tuple_key``) did;
+* **the stamped per-graph memo** — after every write a random sequence
+  makes through each write path (the graph API, instruction attribute
+  writes, in-place edge swaps and reorders, private instruction-list
+  writes), the served form is the fresh one, and an unchanged graph is
+  served without reading its content; copies get their own entries and
+  a freed graph leaves the memo;
 * **the machine-text memo** — memoized machine texts equal the oracle
-  for the machine as it is at each call, and equal machines share one.
+  for the machine as it is at each call, and machines equal in all the
+  payload reads share one.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
+import pickle
 import sys
+import weakref
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
+from copy import copy as shallow_copy, deepcopy
 from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import repro.engine.fingerprint as fp_mod
@@ -54,7 +66,7 @@ from repro.engine.fingerprint import (
     scheduler_payload,
 )
 from repro.ir import DataDependenceGraph, Opcode
-from repro.ir.instruction import Instruction
+from repro.ir.instruction import Instruction, instruction_writes
 from repro.ir.regions import Region
 from repro.machine import ClusteredVLIW, RawMachine, machine_from_spec
 from repro.schedulers import UnifiedAssignAndSchedule
@@ -506,14 +518,21 @@ def _edited(ddg: DataDependenceGraph, uid: int, field: str, value: Any) -> DataD
     return copy
 
 
+def _swap_edge(ddg: DataDependenceGraph, position: int, kind: str, latency: Any) -> None:
+    """Swap ``ddg``'s ``position``-th edge in place, in both adjacency
+    lists, for one with ``kind`` and ``latency``, behind the API's back."""
+    edge = list(ddg.edges())[position]
+    swapped = dataclasses.replace(edge, kind=kind, latency=latency)
+    for adjacency in (ddg._succ[edge.src], ddg._pred[edge.dst]):
+        # By identity: an equal duplicate may sit elsewhere in the list.
+        adjacency[next(i for i, e in enumerate(adjacency) if e is edge)] = swapped
+
+
 def _edge_edited(ddg: DataDependenceGraph, position: int, kind: str, latency: Any):
     """A copy of ``ddg`` with its ``position``-th edge swapped in place, in
     both adjacency lists, for one with ``kind`` and ``latency``."""
     copy = _rebuilt(ddg)
-    edge = list(copy.edges())[position]
-    swapped = dataclasses.replace(edge, kind=kind, latency=latency)
-    for adjacency in (copy._succ[edge.src], copy._pred[edge.dst]):
-        adjacency[adjacency.index(edge)] = swapped
+    _swap_edge(copy, position, kind, latency)
     return copy
 
 
@@ -674,6 +693,181 @@ class TestCanonicalMemo:
 
 
 # ----------------------------------------------------------------------
+# The stamped per-graph memo
+# ----------------------------------------------------------------------
+
+#: The ways a mutation sequence may write to a graph.
+_WRITE_PATHS = st.sampled_from(
+    ["add_instruction", "add_dependence", "setattr", "swap_edge", "reverse_adjacency",
+     "private_write"]
+)
+
+
+def _node_edit(data: st.DataObject, uid: int) -> Tuple[str, Any]:
+    """A ``_NODE_EDITS`` edit valid for instruction ``uid``: operands
+    only name earlier uids."""
+    field, value = data.draw(_NODE_EDITS)
+    if field == "operands":
+        value = tuple(op for op in value if op < uid)
+    return field, value
+
+
+def _write(ddg: DataDependenceGraph, path: str, data: st.DataObject) -> None:
+    """Write to ``ddg`` once through ``path``, with drawn arguments."""
+    n = len(ddg)
+    uid = data.draw(st.integers(min_value=0, max_value=n - 1))
+    if path == "add_instruction":
+        operands = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=2))
+        ddg.add_instruction(Instruction(
+            uid=n, opcode=data.draw(st.sampled_from(_OPCODES)), operands=operands,
+            home_cluster=data.draw(st.sampled_from([None, 0, 1])),
+            immediate=data.draw(_IMMEDIATES),
+        ))
+    elif path == "add_dependence" and n > 1:
+        dst = data.draw(st.integers(min_value=1, max_value=n - 1))
+        ddg.add_dependence(
+            data.draw(st.integers(min_value=0, max_value=dst - 1)), dst,
+            latency=data.draw(_LATENCIES),
+            kind=data.draw(st.sampled_from(["data", "mem", "order"])),
+        )
+    elif path == "setattr":
+        setattr(ddg.instruction(uid), *_node_edit(data, uid))
+    elif path == "swap_edge" and ddg.edge_count():
+        _swap_edge(
+            ddg,
+            data.draw(st.integers(min_value=0, max_value=ddg.edge_count() - 1)),
+            data.draw(st.sampled_from(["data", "mem", "order"])),
+            data.draw(_LATENCIES),
+        )
+    elif path == "reverse_adjacency":
+        # One side only: an edge order the other side's lists do not see.
+        sides = data.draw(st.sampled_from([ddg._pred, ddg._succ]))
+        sides[uid].reverse()
+    elif path == "private_write":
+        # The instructions view stays stale until the next API mutation,
+        # for the key's columns and the computation alike.
+        field, value = _node_edit(data, uid)
+        ddg._instructions[uid] = dataclasses.replace(ddg._instructions[uid], **{field: value})
+        _assert_stamped_and_fresh(ddg)
+        ddg.add_instruction(Instruction(uid=n, opcode=Opcode.LI))
+
+
+def _assert_stamped_and_fresh(ddg: DataDependenceGraph) -> None:
+    form = canonical_form(ddg)
+    assert form == _fresh(ddg)
+    assert canonical_form(ddg) is form  # the unchanged graph hits its stamp
+
+
+class TestStampedMemo:
+    """A graph's stamped form is served only while nothing it reads changed."""
+
+    @given(random_regions(max_nodes=8), st.lists(_WRITE_PATHS, min_size=1, max_size=12),
+           st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_every_write_path_gets_the_fresh_form(self, region, paths, data):
+        ddg = region.ddg
+        _assert_stamped_and_fresh(ddg)
+        for path in paths:
+            _write(ddg, path, data)
+            _assert_stamped_and_fresh(ddg)
+
+    def test_an_unchanged_graph_reads_no_content(self, monkeypatch):
+        region, _ = _suite_region("vliw4", "fir")
+        form = canonical_form(region.ddg)
+
+        def unread(*args):
+            raise AssertionError("the stamp held, yet the columns were read")
+
+        monkeypatch.setattr(fp_mod, "_key_columns", unread)
+        assert canonical_form(region.ddg) is form
+
+    def test_copies_get_equal_keys_and_entries_of_their_own(self):
+        region, machine = _suite_region("raw4x4", "jacobi")
+        key = schedule_key(region, machine, ConvergentScheduler()).key
+        original = fp_mod._STAMPED[region.ddg]
+        for copied in (pickle.loads(pickle.dumps(region)), deepcopy(region)):
+            assert copied.ddg not in fp_mod._STAMPED
+            assert schedule_key(copied, machine, ConvergentScheduler()).key == key
+            stamp, form = fp_mod._STAMPED[copied.ddg]
+            assert stamp[0] is copied.ddg.instructions
+            assert stamp[0] is not original[0][0]
+            assert form == original[1]
+
+    def test_a_freed_graph_leaves_the_memo(self):
+        gc.collect()
+        before = len(fp_mod._STAMPED)
+        ddg = DataDependenceGraph()
+        ddg.new_instruction(Opcode.LI, immediate=1)
+        canonical_form(ddg)
+        assert len(fp_mod._STAMPED) == before + 1
+        alive = weakref.ref(ddg)
+        del ddg
+        gc.collect()
+        assert alive() is None
+        assert len(fp_mod._STAMPED) == before
+
+    def test_values_that_change_in_place_are_never_stamped(self):
+        ddg = _two_sources((0, 1), (1, 1))
+        add = ddg.instruction(2)
+        add.operands = [0]
+        canonical_form(ddg)
+        assert ddg not in fp_mod._STAMPED
+        add.operands.append(1)
+        assert canonical_form(ddg) == _fresh(ddg)
+
+    def test_construction_copies_and_unpickling_count_no_write(self):
+        writes = instruction_writes()
+        inst = Instruction(uid=3, opcode=Opcode.ADD, operands=[1, 2], home_cluster=1)
+        copies = [
+            dataclasses.replace(inst, uid=4),
+            pickle.loads(pickle.dumps(inst)),
+            deepcopy(inst),
+            shallow_copy(inst),
+        ]
+        assert instruction_writes() == writes
+        assert copies[1:] == [inst] * 3
+        assert copies[0].uid == 4 and copies[0].operands == (1, 2)
+        inst.name = "x"
+        assert instruction_writes() != writes
+
+    def test_threads_never_see_a_write_undone(self):
+        """A write changes the count its own thread reads next, whatever
+        other threads write in between (an increment by read-modify-write
+        could store a stale count over it)."""
+        instructions = [Instruction(uid=t, opcode=Opcode.LI) for t in range(4)]
+
+        def write(inst):
+            for value in range(3000):
+                before = instruction_writes()
+                inst.immediate = value
+                assert instruction_writes() != before
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=4) as pool:
+                list(pool.map(write, instructions, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [inst.immediate for inst in instructions] == [2999] * 4
+
+    def test_instruction_checks_and_dataclass_behaviour_are_unchanged(self):
+        with pytest.raises(ValueError, match="^instruction uid must be non-negative, got -1$"):
+            Instruction(uid=-1, opcode=Opcode.ADD)
+        with pytest.raises(ValueError, match="^instruction 5 cannot depend on itself$"):
+            Instruction(uid=5, opcode=Opcode.ADD, operands=(2, 5))
+        with pytest.raises(TypeError):
+            Instruction(uid=0, opcode=Opcode.ADD, operands=3)
+        assert [f.name for f in dataclasses.fields(Instruction)] == [
+            "uid", "opcode", "operands", "home_cluster", "name", "bank", "immediate",
+        ]
+        inst = Instruction(2, Opcode.LI, (), None, "k", None, 1.5)
+        assert inst == Instruction(uid=2, opcode=Opcode.LI, name="k", immediate=1.5)
+        assert inst != dataclasses.replace(inst, immediate=2.5)
+        assert Instruction.__hash__ is None
+
+
+# ----------------------------------------------------------------------
 # The machine-text memo
 # ----------------------------------------------------------------------
 
@@ -738,3 +932,18 @@ class TestMachineTextMemo:
             assert machine_payload_text(machine) == _oracle_machine_text(machine)
             assert len(memo) <= MACHINE_MEMO_CAPACITY
         assert len(memo) == MACHINE_MEMO_CAPACITY
+
+    def test_derived_tables_stay_out_of_the_key(self):
+        """The payload never reads the feasibility tables, so machines that
+        differ only there share one entry."""
+        memo = fp_mod._MACHINE_MEMO
+        memo.clear()
+        machine, altered = ClusteredVLIW(4), ClusteredVLIW(4)
+        altered.class_mask = ~altered.class_mask
+        altered.class_clusters = {}
+        altered.class_units = {}
+        text = machine_payload_text(machine)
+        assert machine_payload_text(altered) is text
+        assert len(memo) == 1
+        for each in (machine, altered):
+            assert text == fp_mod._encode(machine_payload(each))
