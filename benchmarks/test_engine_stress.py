@@ -197,35 +197,3 @@ class TestEngineStress:
             region.name for region in program.regions
         ]
         assert _scrubbed(parallel) == _scrubbed(serial)
-
-
-class TestResilienceStorm:
-    """The PR 6 acceptance gate: the full engine-level chaos campaign.
-
-    ``run_resilience_campaign`` drives 200 seeded regions — slow
-    passes, cooperative and uncooperative hangs, raising passes, one
-    worker suicide — through a deadline-enforcing, breaker-routing,
-    retrying engine, then corrupts half the disk-cache entries and
-    demands the warm rerun still matches the cold one.  The verdict
-    encodes the resilience contract: zero lost regions, zero uncaught
-    exceptions, every region ``ok`` or cleanly timed out, bounded
-    overruns, quarantined corruption, clean cache verify after rebuild.
-    """
-
-    def test_200_region_chaos_campaign_survives(self):
-        from repro.faults import run_resilience_campaign
-
-        report = run_resilience_campaign(
-            n_regions=200, seed=0, jobs=4, deadline_s=0.25,
-        )
-        print_report(
-            "resilience storm: 200 regions, deadlines + kills + cache corruption",
-            report.render(),
-        )
-        assert report.ok, report.render()
-        assert report.lost_regions == 0
-        assert report.ok_regions + report.timeout_regions == report.n_regions
-        assert report.cache_warm_identical
-        assert report.cache_quarantined == report.cache_files_corrupted
-        assert report.cache_verify["corrupt"] == 0
-        assert report.cache_verify["version_skew"] == 0

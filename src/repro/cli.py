@@ -23,10 +23,6 @@
 * ``cache`` — inspect the persistent schedule cache: ``stats``,
   ``verify`` (checksum every entry; quarantines corrupt files), or
   ``gc`` (purge quarantine and stale temp files);
-* ``resilience`` — seeded engine-level chaos storm
-  (:func:`repro.faults.run_resilience_campaign`): deadlines, hung and
-  killed workers, disk-cache corruption; exits nonzero unless every
-  region is accounted for;
 * ``timeline`` — render a flight ledger (``--ledger`` on ``bench`` /
   ``faults``) as per-worker Gantt lanes with queue/saturation stats,
   or export it as Chrome trace-event JSON (``--chrome-trace``);
@@ -43,7 +39,7 @@
   latest bench snapshot in the style of ``bench --compare``.
 
 The hardened subcommands (``faults``, ``bench``, ``verify``, ``cache``,
-``resilience``, ``timeline``, ``trend``, ``serve``, ``loadtest``) use
+``timeline``, ``trend``, ``serve``, ``loadtest``) use
 distinct exit codes so CI can tell *why* a gate
 went red: 0 success, 1 genuine failure or regression, 2 operator /
 configuration error, 3 unexpected crash.
@@ -422,23 +418,6 @@ def _cmd_cache(args: argparse.Namespace) -> int:
         f"file(s) removed, {removed['tmp_removed']} temp file(s) removed"
     )
     return EXIT_OK
-
-
-def _cmd_resilience(args: argparse.Namespace) -> int:
-    """Run the engine-level chaos storm and print its report."""
-    from .faults import run_resilience_campaign
-
-    report = run_resilience_campaign(
-        machine=parse_machine(args.machine),
-        n_regions=args.regions,
-        seed=args.seed,
-        jobs=args.jobs,
-        deadline_s=args.deadline,
-        kill_tolerance_s=args.kill_tolerance,
-        cache_dir=args.cache_dir,
-    )
-    print(report.render())
-    return EXIT_OK if report.ok else EXIT_FAILURE
 
 
 def _cmd_timeline(args: argparse.Namespace) -> int:
@@ -1020,31 +999,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cache.add_argument("--dir", required=True, help="cache directory")
 
-    resilience = sub.add_parser(
-        "resilience",
-        help="seeded engine-level chaos storm: deadlines, worker kills, "
-             "cache corruption",
-    )
-    resilience.add_argument("--machine", default="raw4x4")
-    resilience.add_argument(
-        "--regions", type=int, default=200, help="synthetic regions to compile"
-    )
-    resilience.add_argument("--seed", type=int, default=0)
-    resilience.add_argument("--jobs", type=int, default=4)
-    resilience.add_argument(
-        "--deadline", type=float, default=0.25,
-        help="per-region compile budget in seconds",
-    )
-    resilience.add_argument(
-        "--kill-tolerance", type=float, default=1.0,
-        help="grace period past the deadline before a worker is killed",
-    )
-    resilience.add_argument(
-        "--cache-dir",
-        help="directory for the cache-corruption phase (default: a "
-             "temporary directory, removed afterwards)",
-    )
-
     timeline = sub.add_parser(
         "timeline",
         help="per-worker Gantt lanes and saturation stats from a flight "
@@ -1209,7 +1163,6 @@ _COMMANDS = {
     "faults": _hardened(_cmd_faults),
     "loadtest": _hardened(_cmd_loadtest),
     "profile": _cmd_profile,
-    "resilience": _hardened(_cmd_resilience),
     "serve": _hardened(_cmd_serve),
     "timeline": _hardened(_cmd_timeline),
     "trace": _cmd_trace,

@@ -168,10 +168,6 @@ class ConvergentScheduler(Scheduler):
         self, region: Region, machine: Machine, tracer: Union[Tracer, NullTracer]
     ) -> ConvergentResult:
         """The body of :meth:`converge`, run inside its tracer span."""
-        # Stdlib-only import, deferred to keep repro.core free of any
-        # repro.engine import at module load (no cycle, cheap repeat).
-        from ..engine.resilience import active_budget
-
         ddg = region.ddg
         matrix = PreferenceMatrix.for_region(ddg, machine.n_clusters)
         guard = PassGuard(quarantine_after=self.quarantine_after) if self.guard else None
@@ -186,11 +182,8 @@ class ConvergentScheduler(Scheduler):
         with tracer.span("region_index", n_instructions=len(ddg)):
             ctx.index
         passes = self._build_passes(machine)
-        budget = active_budget()
         for round_index in range(self.iterations):
             for scheduling_pass in passes:
-                if budget is not None:
-                    budget.check(f"pass {scheduling_pass.name}")
                 if round_index > 0 and scheduling_pass.name == "INITTIME":
                     continue  # feasibility never changes after round one
                 if guard is not None and guard.is_quarantined(scheduling_pass):
@@ -228,8 +221,6 @@ class ConvergentScheduler(Scheduler):
                         **matrix_delta(before_weights, matrix),
                     )
 
-        if budget is not None:
-            budget.check("extract_assignment")
         with tracer.span("extract_assignment", region=region.name):
             assignment = self.extract_assignment(
                 matrix, region, machine, feasible=ctx.index.feasible

@@ -135,14 +135,6 @@ class PassGuard:
         try:
             scheduling_pass.apply(ctx)
         except Exception as exc:  # noqa: BLE001 - the guard's whole point
-            from ..engine.resilience import DeadlineExceeded
-
-            if isinstance(exc, DeadlineExceeded):
-                # A deadline is not a pass fault: restore the matrix so
-                # no half-applied update leaks, but let the timeout
-                # propagate — rollback must never swallow the budget.
-                matrix.restore(token)
-                raise
             failure = f"{type(exc).__name__}: {exc}"
         else:
             issue = matrix.health()

@@ -14,13 +14,10 @@ single reported number:
   requests.
 
 The contract, enforced by ``tests/test_engine.py``: ``jobs=N`` and
-warm-cache runs are cycle-identical to an inline ``jobs=1`` run.
-
-PR 6 adds :mod:`~repro.engine.resilience` — deadlines
-(:class:`Budget` / :func:`budget_scope`), retry with seeded backoff
-(:class:`RetryPolicy`), and per-(scheduler, machine) circuit breakers
-(:class:`CircuitBreaker` / :class:`BreakerBoard`) — wired into the
-engine through :class:`ResilienceConfig`; see ``docs/resilience.md``.
+warm-cache runs are cycle-identical to an inline ``jobs=1`` run.  A
+task whose worker is lost runs again inline in the parent, and a
+corrupt disk-cache entry is quarantined and recomputed; see
+``docs/resilience.md``.
 """
 
 from .cache import (
@@ -50,35 +47,15 @@ from .pool import (
     execute_task,
     worker_cache,
 )
-from .resilience import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerBoard,
-    Budget,
-    CircuitBreaker,
-    DeadlineExceeded,
-    ResilienceConfig,
-    RetryPolicy,
-    active_budget,
-    budget_scope,
-)
 
 __all__ = [
-    "BREAKER_CLOSED",
-    "BREAKER_HALF_OPEN",
-    "BREAKER_OPEN",
-    "BreakerBoard",
-    "Budget",
     "CACHE_HIT",
     "CACHE_MISS",
     "CACHE_OFF",
     "CacheHit",
     "CacheSpec",
     "CacheStats",
-    "CircuitBreaker",
     "CompilationEngine",
-    "DeadlineExceeded",
     "FILE_KIND",
     "FILE_VERSION",
     "FINGERPRINT_FIELDS",
@@ -86,12 +63,8 @@ __all__ = [
     "Fingerprint",
     "QUARANTINE_DIR",
     "RegionTask",
-    "ResilienceConfig",
-    "RetryPolicy",
     "ScheduleCache",
     "TaskOutcome",
-    "active_budget",
-    "budget_scope",
     "canonical_permutation",
     "execute_task",
     "ddg_fingerprint",

@@ -114,7 +114,6 @@ FINGERPRINT_FIELDS: Dict[str, Tuple[str, ...]] = {
         "region_name",
         "check_values",
         "verify",
-        "deadline_s",
         "schema_version",
     ),
 }
@@ -743,7 +742,6 @@ def schedule_key(
     scheduler: Scheduler,
     check_values: bool = True,
     verify: bool = False,
-    deadline_s: Optional[float] = None,
     *,
     canonical: Optional[Tuple[Tuple[int, ...], str]] = None,
     machine_text: Optional[str] = None,
@@ -753,10 +751,7 @@ def schedule_key(
     The composite payload is the canonical DDG, the machine payload,
     the scheduler payload, the ``region_name`` (the convergent
     scheduler derives its per-region noise stream from it), the
-    ``check_values`` / ``verify`` harness flags, the compile
-    ``deadline_s`` (only when one is set — a deadline can change the
-    result by forcing fallback degradation, so budgeted results must
-    never be served to unbudgeted requests or vice versa), and the
+    ``check_values`` / ``verify`` harness flags, and the
     ``schema_version``.
 
     Args:
@@ -765,8 +760,6 @@ def schedule_key(
         scheduler: The scheduler that would produce the schedule.
         check_values: Whether the harness will replay dataflow.
         verify: Whether the harness will run the static verifier.
-        deadline_s: The task's compile budget; ``None`` (no deadline)
-            keeps the key identical to the pre-resilience schema.
         canonical: ``canonical_form(region.ddg)`` computed earlier for
             this graph, unchanged since; ``None`` computes it now.
         machine_text: The encoded ``machine_payload(machine)``, e.g.
@@ -790,6 +783,4 @@ def schedule_key(
         "check_values": _encode(bool(check_values)),
         "verify": _encode(bool(verify)),
     }
-    if deadline_s is not None:
-        members["deadline_s"] = _encode(float(deadline_s))
     return Fingerprint(key=_digest_text(_object_text(members)), permutation=permutation)

@@ -30,22 +30,14 @@ from __future__ import annotations
 import contextlib
 import os
 import time
-from collections import deque
-from concurrent.futures import Future, ProcessPoolExecutor, wait
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import (
-    Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
-)
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Union
 
 import multiprocessing
 
-from ..harness.experiment import (
-    STATUS_TIMEOUT,
-    RegionResult,
-    _record_region_metrics,
-    _run_region,
-)
+from ..harness.experiment import RegionResult, _record_region_metrics, _run_region
 from ..ir.regions import Region
 from ..machine.machine import Machine
 from ..observability.flight import FlightLedger, FlightRecord
@@ -55,23 +47,11 @@ from ..schedulers.base import Scheduler
 from ..schedulers.schedule import Schedule
 from .cache import CacheSpec, ScheduleCache, ScheduleReplay
 from .fingerprint import Fingerprint, schedule_key
-from .resilience import (
-    BreakerBoard,
-    Budget,
-    CircuitBreaker,
-    ResilienceConfig,
-    RetryPolicy,
-    budget_scope,
-)
 
-#: The policy of an engine built with ``resilience=None``: no deadline,
-#: one attempt, no breakers, and no pool respawns — a dead pool is given
-#: up at once and the remaining tasks run inline.
-NO_RESILIENCE = ResilienceConfig(
-    retry=RetryPolicy(max_attempts=1, base_delay_s=0.0),
-    breaker_enabled=False,
-    max_pool_respawns=0,
-)
+#: Worker-side failures of the infrastructure rather than of the task:
+#: a lost worker or a broken pipe to it.  A task that fails with one is
+#: finished inline in the parent even when it does not capture errors.
+INFRASTRUCTURE_ERRORS = (BrokenExecutor, EOFError, OSError)
 
 #: ``TaskOutcome.cache_status`` values.
 CACHE_OFF = "off"
@@ -98,17 +78,9 @@ class RegionTask:
             private registry returned on the outcome.
         trace: Record scheduling/simulation spans into a private tracer
             returned (serialized) on the outcome.
-        deadline_s: Per-task compile budget in seconds; ``None`` (the
-            default) means unbudgeted.  A resilient engine fills this
-            from its :class:`~repro.engine.resilience.ResilienceConfig`.
-        route_level: Minimum :class:`~repro.schedulers.fallback.
-            FallbackChain` member this task may use (0 = primary).  The
-            engine raises it to the chain's configured ``min_level``
-            and to a tripped circuit breaker's floor, never lowers it.
-            Ignored for schedulers without a ``min_level`` attribute.
-        submit_s: Unix time the engine (re-)submitted the task for its
-            latest attempt; the flight recorder derives queue-wait from
-            it.  0.0 until the engine stamps it.
+        submit_s: Unix time the engine submitted the task; the flight
+            recorder derives queue-wait from it.  0.0 until the engine
+            stamps it.
     """
 
     index: int
@@ -120,8 +92,6 @@ class RegionTask:
     verify: bool = False
     collect_metrics: bool = False
     trace: bool = False
-    deadline_s: Optional[float] = None
-    route_level: int = 0
     submit_s: float = 0.0
 
 
@@ -148,11 +118,8 @@ class TaskOutcome:
         cache_stats: Delta of the executing cache's counters caused by
             this task (empty when caching was off).
         worker: pid of the process that executed the task.
-        attempts: Executions this task took (1 = first try succeeded);
-            retries and inline rescues each add one.
-        timed_out: True when the task overran its compile budget — the
-            result is either :data:`~repro.harness.experiment.
-            STATUS_TIMEOUT` or a degraded rescue by a fallback member.
+        attempts: Executions this task took: 1, or 2 when its worker
+            failed and the parent finished it inline.
         degradation_level: ``FallbackReport.level`` of the run that
             produced the result (0 = primary member or non-chain
             scheduler; >0 = a fallback member served it).
@@ -170,7 +137,6 @@ class TaskOutcome:
     cache_stats: Dict[str, int] = field(default_factory=dict)
     worker: int = 0
     attempts: int = 1
-    timed_out: bool = False
     degradation_level: int = 0
     fingerprint: Optional[str] = None
     started_s: float = 0.0
@@ -197,12 +163,11 @@ def execute_task(
     """Run one task to completion in the calling thread.
 
     The single owner of a region task's semantics — cache lookup and
-    store, replay of hits, routing floor, budget, captured failures —
-    used by pool workers, by the engine's inline runs, and by the
-    compile server's warm fast lane (which calls it outside any engine
-    so cache hits never queue behind a batch, and passes the
-    fingerprints it already parsed so a warm region is never
-    re-canonicalized).
+    store, replay of hits, captured failures — used by pool workers, by
+    the engine's inline runs, and by the compile server's warm fast lane
+    (which calls it outside any engine so cache hits never queue behind
+    a batch, and passes the fingerprints it already parsed so a warm
+    region is never re-canonicalized).
 
     Args:
         task: The work item.
@@ -222,20 +187,7 @@ def execute_task(
         worker=os.getpid(),
         started_s=time.time(),
     )
-    with contextlib.ExitStack() as scopes:
-        # Raise the chain's routing floor to the task's *before* the
-        # cache key is computed: ``min_level`` is part of the scheduler
-        # fingerprint, so routed (degraded) results can never poison
-        # unrouted cache slots.  The configured floor is restored on
-        # exit, because the tasks of one program share the scheduler.
-        configured_level = getattr(task.scheduler, "min_level", None)
-        if configured_level is not None:
-            task.scheduler.min_level = max(configured_level, task.route_level)
-            scopes.callback(setattr, task.scheduler, "min_level", configured_level)
-        if task.deadline_s is not None:
-            scopes.enter_context(budget_scope(Budget(deadline_s=task.deadline_s)))
-        if tracer is not None:
-            scopes.enter_context(tracing(tracer))
+    with tracing(tracer) if tracer is not None else contextlib.nullcontext():
         cache_key = fingerprint
         scheduler_ran = False
         if cache is not None:
@@ -246,7 +198,6 @@ def execute_task(
                     task.scheduler,
                     check_values=task.check_values,
                     verify=task.verify,
-                    deadline_s=task.deadline_s,
                 )
             outcome.fingerprint = cache_key.key
             lookup_started = time.perf_counter()
@@ -306,7 +257,6 @@ def execute_task(
                 status=outcome.cache_status,
                 region=task.region.name,
             )
-    outcome.timed_out = outcome.result.status == STATUS_TIMEOUT
 
     if cache is not None:
         after = cache.stats.to_dict()
@@ -325,9 +275,7 @@ def execute_task(
     return outcome
 
 
-def flight_record(
-    task: RegionTask, outcome: TaskOutcome, breaker: Optional[str] = None
-) -> FlightRecord:
+def flight_record(task: RegionTask, outcome: TaskOutcome) -> FlightRecord:
     """The flight-ledger row of one finished task.
 
     Splits the task's wall time into queue-wait (submit → start) and
@@ -337,8 +285,6 @@ def flight_record(
     Args:
         task: The finished work item (carries ``submit_s``).
         outcome: Its outcome (carries ``started_s``/``finished_s``).
-        breaker: State of the task's circuit breaker, or ``None`` when
-            no breaker applies.
 
     Returns:
         The :class:`~repro.observability.flight.FlightRecord`.
@@ -361,13 +307,7 @@ def flight_record(
         queue_wait_s=queue_wait,
         execute_s=execute,
         attempts=outcome.attempts,
-        route_level=task.route_level,
-        breaker=breaker,
         degradation_level=outcome.degradation_level,
-        deadline_s=task.deadline_s,
-        deadline_slack_s=(
-            task.deadline_s - execute if task.deadline_s is not None else None
-        ),
         status=outcome.result.status,
         cycles=outcome.result.cycles,
     )
@@ -455,24 +395,11 @@ class CompilationEngine:
             equivalent cache from its :meth:`~ScheduleCache.spec` (a
             disk-backed cache is then genuinely shared through the
             filesystem; a memory-only cache becomes per-worker).
-        resilience: Optional :class:`~repro.engine.resilience.
-            ResilienceConfig`: per-task deadlines (checked cooperatively
-            in workers, enforced preemptively by killing overrunning
-            workers), :class:`~repro.engine.resilience.RetryPolicy`-
-            bounded retries with deterministic backoff, and
-            per-(scheduler, machine) circuit breakers that route tasks
-            past a repeatedly-failing primary.  ``None`` (the default)
-            is the null policy :data:`NO_RESILIENCE`: no deadline, one
-            attempt, no breakers, no pool respawns.  Either way the
-            same loop runs the tasks, and everything it does is counted
-            in :attr:`telemetry` under ``resilience.*`` (see
-            :data:`~repro.observability.metrics.RESILIENCE_COUNTERS`).
         ledger: Optional :class:`~repro.observability.flight.
             FlightLedger`.  When given, every finished task appends one
             :class:`~repro.observability.flight.FlightRecord` (cache
-            status, worker pid, queue-wait vs execute split, attempt,
-            breaker state, deadline slack); the caller flushes the
-            ledger to disk.
+            status, worker pid, queue-wait vs execute split, attempts,
+            degradation level); the caller flushes the ledger to disk.
 
     Per-task queue-wait and execute seconds are always recorded into
     :attr:`telemetry` as ``engine.queue_wait_seconds.<status>`` /
@@ -481,38 +408,28 @@ class CompilationEngine:
 
     The executor is created lazily on first parallel use and should be
     released with :meth:`close` (or by using the engine as a context
-    manager).  If the pool breaks (a worker is killed hard) past the
-    policy's respawn allowance, affected and subsequent tasks run inline
-    in the parent — results are unaffected, and :attr:`pool_breaks`
-    counts the incident.
+    manager).  If the pool breaks (a worker is killed hard), affected
+    and subsequent tasks run inline in the parent — results are
+    unaffected, :attr:`pool_breaks` counts the incident, and each
+    rescued task counts one ``resilience.rescues`` in
+    :attr:`telemetry`.
     """
 
     def __init__(
         self,
         jobs: int = 1,
         cache: Optional[ScheduleCache] = None,
-        resilience: Optional[ResilienceConfig] = None,
         ledger: Optional[FlightLedger] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if resilience is None:
-            resilience = NO_RESILIENCE
         self.jobs = jobs
         self.cache = cache
-        self.resilience = resilience
         self.ledger = ledger
         self.telemetry = MetricsRegistry()
         self.pool_breaks = 0
         self._executor: Optional[ProcessPoolExecutor] = None
         self._broken = False
-        self._respawns = 0
-        self._board: Optional[BreakerBoard] = None
-        if resilience.breaker_enabled:
-            self._board = BreakerBoard(
-                failure_threshold=resilience.breaker_threshold,
-                cooldown_tasks=resilience.breaker_cooldown,
-            )
 
     # -- lifecycle -----------------------------------------------------
 
@@ -574,10 +491,7 @@ class CompilationEngine:
             task: The finished work item (carries ``submit_s``).
             outcome: Its outcome (carries ``started_s``/``finished_s``).
         """
-        breaker = self._breaker_for(task)
-        record = flight_record(
-            task, outcome, breaker.state if breaker is not None else None
-        )
+        record = flight_record(task, outcome)
         status = record.status
         self.telemetry.observe(f"engine.queue_wait_seconds.{status}", record.queue_wait_s)
         self.telemetry.observe(f"engine.execute_seconds.{status}", record.execute_s)
@@ -586,214 +500,45 @@ class CompilationEngine:
 
     # -- region tasks --------------------------------------------------
 
-    def _breaker_for(self, task: RegionTask) -> Optional[CircuitBreaker]:
-        """This task's circuit breaker, or ``None``.
-
-        Breakers only apply to schedulers that can actually degrade —
-        i.e. expose a ``min_level`` routing floor (FallbackChain).
-
-        Args:
-            task: The task whose (scheduler, machine) cell is keyed.
-
-        Returns:
-            The cell's breaker, or ``None`` when breakers are disabled
-            or the scheduler cannot be routed.
-        """
-        if self._board is None or not hasattr(task.scheduler, "min_level"):
-            return None
-        return self._board.breaker(task.scheduler.name, task.machine.name)
-
-    def _route(self, task: RegionTask) -> None:
-        """Set the task's route level: the larger of the scheduler's
-        configured ``min_level`` and its circuit breaker's floor."""
-        task.route_level = max(
-            task.route_level, getattr(task.scheduler, "min_level", 0)
-        )
-        breaker = self._breaker_for(task)
-        if breaker is None:
-            return
-        probes_before = breaker.probes
-        level = breaker.route()
-        if breaker.probes > probes_before:
-            self.telemetry.inc("resilience.breaker_probes")
-        if level > task.route_level:
-            task.route_level = level
-            self.telemetry.inc("resilience.breaker_routed")
-
-    def _record_breaker(self, task: RegionTask, primary_ok: bool) -> None:
-        """Report whether the task's primary succeeded to its breaker."""
-        breaker = self._breaker_for(task)
-        if breaker is None or task.route_level > 0:
-            return  # routed task: the primary never ran, nothing to judge
-        trips_before, resets_before = breaker.trips, breaker.resets
-        breaker.record(primary_ok)
-        if breaker.trips > trips_before:
-            self.telemetry.inc("resilience.breaker_trips")
-        if breaker.resets > resets_before:
-            self.telemetry.inc("resilience.breaker_resets")
-
     def _absorb(
-        self,
-        task: RegionTask,
-        attempt: int,
-        outcome: TaskOutcome,
-        outcomes: Dict[int, TaskOutcome],
+        self, task: RegionTask, outcome: TaskOutcome, outcomes: Dict[int, TaskOutcome]
     ) -> None:
         """Fold one finished outcome into the merge map + telemetry."""
-        outcome.attempts = max(outcome.attempts, attempt)
-        if outcome.timed_out:
-            self.telemetry.inc("resilience.timeouts")
         if self.cache is not None and outcome.worker != os.getpid():
             self.cache.stats.merge(outcome.cache_stats)
-        self._record_breaker(
-            task,
-            outcome.result.ok
-            and not outcome.timed_out
-            and outcome.degradation_level == 0,
-        )
         self._observe_task(task, outcome)
         outcomes[task.index] = outcome
 
-    def _wave_timeout(self, wave: Sequence[Tuple[RegionTask, int]]) -> Optional[float]:
-        """How long to wait on one wave of futures before killing.
-
-        Args:
-            wave: The (task, attempt) pairs submitted together.
-
-        Returns:
-            ``max(deadline_s) + kill_tolerance_s`` over the wave, or
-            ``None`` (wait forever) when no task carries a deadline.
-        """
-        deadlines = [t.deadline_s for t, _ in wave if t.deadline_s is not None]
-        if not deadlines:
-            return None
-        return max(deadlines) + self.resilience.kill_tolerance_s
-
-    def _respawn_pool(self) -> None:
-        """Kill the current worker pool so the next wave gets a new one.
-
-        Terminates worker processes (an uncooperatively hung task
-        cannot be stopped any other way), counts the respawn, and —
-        past ``max_pool_respawns`` — gives up on pooling entirely so
-        the run finishes inline instead of thrashing."""
-        executor = self._executor
-        if executor is None:
-            return
-        self._executor = None
-        for process in list(getattr(executor, "_processes", {}).values()):
-            try:
-                process.terminate()
-            except Exception:  # noqa: BLE001 - best-effort kill
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)
-        self._respawns += 1
-        self.telemetry.inc("resilience.pool_respawns")
-        if self._respawns >= self.resilience.max_pool_respawns:
-            self._mark_broken()
-
-    def _rescue_timeout(self, task: RegionTask, attempt: int) -> TaskOutcome:
-        """Resolve a task whose worker was preemptively killed.
-
-        A chain-backed task is re-run inline with its route level
-        bumped past the member that burned the budget; anything else
-        is resolved as a :data:`~repro.harness.experiment.
-        STATUS_TIMEOUT` result so the region is never lost.
-
-        Args:
-            task: The killed task.
-            attempt: The attempt number that timed out.
-
-        Returns:
-            The resolved outcome (degraded-ok or timeout), with
-            ``timed_out=True`` either way.
-        """
-        members = getattr(task.scheduler, "schedulers", None)
-        can_degrade = (
-            hasattr(task.scheduler, "min_level")
-            and members is not None
-            and task.route_level + 1 < len(members)
-        )
-        if can_degrade:
-            # The primary burned the whole budget: charge its breaker
-            # while ``route_level`` still says the primary ran.
-            self._record_breaker(task, False)
-            task.route_level += 1
-            self.telemetry.inc("resilience.rescues")
-            outcome = execute_task(task, self.cache)
-            outcome.attempts = attempt + 1
-            outcome.timed_out = True
-            return outcome
-        deadline = float(task.deadline_s or 0.0)
-        result = RegionResult(
-            region_name=task.region.name,
-            cycles=0,
-            transfers=0,
-            utilization=0.0,
-            compile_seconds=deadline,
-            n_instructions=len(task.region.ddg),
-            status=STATUS_TIMEOUT,
-            error=(
-                f"DeadlineExceeded: worker overran the {deadline:.3f}s "
-                "compile budget and was killed"
-            ),
-        )
-        now = time.time()
-        return TaskOutcome(
-            index=task.index,
-            result=result,
-            worker=os.getpid(),
-            attempts=attempt,
-            timed_out=True,
-            # The killed worker never reported back: charge the whole
-            # submit→kill window as execute time on the parent's lane.
-            started_s=task.submit_s or now,
-            finished_s=now,
-        )
-
     def _handle_worker_error(
-        self,
-        task: RegionTask,
-        attempt: int,
-        exc: BaseException,
-        queue: "Deque[Tuple[RegionTask, int]]",
-        outcomes: Dict[int, TaskOutcome],
+        self, task: RegionTask, exc: BaseException, outcomes: Dict[int, TaskOutcome]
     ) -> None:
-        """Classify one worker-side failure: retry, rescue, or raise."""
-        policy = self.resilience.retry
+        """Finish a task whose worker failed inline, or re-raise.
+
+        A lost worker (the first one also gives the pool up) or a
+        broken pipe is never the task's fault, and a task that captures
+        errors must yield an outcome either way: both run again in the
+        parent.  Any other exception is the task's own and propagates —
+        the fail-fast contract of ``capture_errors=False``.
+        """
         if isinstance(exc, BrokenProcessPool):
-            self._respawn_pool()
-        if policy.is_retryable(exc) and attempt < policy.max_attempts:
-            self.telemetry.inc("resilience.retries")
-            delay = policy.delay_for(attempt + 1, key=task.region.name)
-            if delay > 0:
-                time.sleep(delay)
-            queue.append((task, attempt + 1))
-            return
-        if policy.is_retryable(exc) or task.capture_errors:
-            # Retries exhausted (or terminal-but-captured): finish the
-            # task inline in the parent so no region is ever lost.
-            self.telemetry.inc("resilience.rescues")
-            outcome = execute_task(task, self.cache)
-            self._absorb(task, attempt + 1, outcome, outcomes)
-            return
-        raise exc
+            self._mark_broken()
+        if not (isinstance(exc, INFRASTRUCTURE_ERRORS) or task.capture_errors):
+            raise exc
+        self.telemetry.inc("resilience.rescues")
+        outcome = execute_task(task, self.cache)
+        outcome.attempts = 2
+        self._absorb(task, outcome, outcomes)
 
     def run_tasks(self, tasks: Sequence[RegionTask]) -> List[TaskOutcome]:
         """Execute every task; outcomes are returned in *index* order.
 
         The engine's only region-task loop.  Without a pool (``jobs=1``,
         or after the pool was given up) tasks run inline one by one.
-        With a pool, tasks that carry no deadline are all submitted at
-        once; tasks with a deadline go in waves of ``jobs``, awaited
-        with a deadline-derived timeout, and futures still running past
-        it have their workers killed and are rescued inline (degraded
-        through the fallback chain when possible, resolved as
-        ``TIMEOUT`` otherwise).  A lost worker — reported by
-        ``submit`` or by the future — respawns the pool or gives it up,
-        and the task is retried per the :class:`~repro.engine.
-        resilience.RetryPolicy` or rescued inline, so every task yields
-        exactly one outcome.  Exceptions a task legitimately raises
-        (``capture_errors=False``) propagate: the fail-fast contract.
+        With a pool, every task is submitted at once and the results
+        are collected once all have finished; a task whose worker failed
+        goes to :meth:`_handle_worker_error`.  A pool that breaks at
+        ``submit`` is given up there, and the tasks not yet submitted run
+        inline — so every task yields exactly one outcome.
 
         Args:
             tasks: The work items (indices need not be contiguous, but
@@ -803,54 +548,33 @@ class CompilationEngine:
             One :class:`TaskOutcome` per task, sorted by task index.
         """
         outcomes: Dict[int, TaskOutcome] = {}
-        queue: Deque[Tuple[RegionTask, int]] = deque()
-        for task in tasks:
-            if task.deadline_s is None:
-                task.deadline_s = self.resilience.deadline_s
-            queue.append((task, 1))
-        while queue:
-            executor = self._pool()
-            if executor is None:
-                task, attempt = queue.popleft()
-                self._route(task)
-                task.submit_s = time.time()
-                outcome = execute_task(task, self.cache)
-                self._absorb(task, attempt, outcome, outcomes)
-                continue
-            timed = any(t.deadline_s is not None for t, _ in queue)
-            size = self.jobs if timed else len(queue)
-            wave = [queue.popleft() for _ in range(min(len(queue), size))]
-            futures: Dict[Future, Tuple[RegionTask, int]] = {}
-            refused: Optional[Tuple[RegionTask, int, BrokenProcessPool]] = None
-            for position, (task, attempt) in enumerate(wave):
-                self._route(task)
+        inline: Sequence[RegionTask] = tasks
+        executor = self._pool()
+        if executor is not None:
+            futures: Dict[Future, RegionTask] = {}
+            refused: Optional[BrokenProcessPool] = None
+            for task in tasks:
                 task.submit_s = time.time()
                 try:
-                    futures[executor.submit(_pool_run_task, task)] = (task, attempt)
+                    futures[executor.submit(_pool_run_task, task)] = task
                 except BrokenProcessPool as exc:
-                    # A worker died mid-wave: the rest of the wave goes
-                    # back to the front of the queue, unsubmitted, and
-                    # this task is handled once the wave is collected.
-                    queue.extendleft(reversed(wave[position + 1:]))
-                    refused = (task, attempt, exc)
+                    refused = exc
                     break
-            _, not_done = wait(list(futures), timeout=self._wave_timeout(wave))
-            if not_done:
-                self.telemetry.inc("resilience.preemptive_kills", len(not_done))
-                self._respawn_pool()
-            for future, (task, attempt) in futures.items():
-                if future in not_done:
-                    outcome = self._rescue_timeout(task, attempt)
-                    self._absorb(task, attempt, outcome, outcomes)
-                    continue
+            wait(list(futures))
+            for future, task in futures.items():
                 try:
                     outcome = future.result()
                 except Exception as exc:  # noqa: BLE001 - worker boundary
-                    self._handle_worker_error(task, attempt, exc, queue, outcomes)
+                    self._handle_worker_error(task, exc, outcomes)
                     continue
-                self._absorb(task, attempt, outcome, outcomes)
+                self._absorb(task, outcome, outcomes)
+            inline = tasks[len(futures):]
             if refused is not None:
-                self._handle_worker_error(*refused, queue, outcomes)
+                self._handle_worker_error(inline[0], refused, outcomes)
+                inline = inline[1:]
+        for task in inline:
+            task.submit_s = time.time()
+            self._absorb(task, execute_task(task, self.cache), outcomes)
         return [outcomes[t.index] for t in sorted(tasks, key=lambda t: t.index)]
 
     # -- generic fan-out -----------------------------------------------

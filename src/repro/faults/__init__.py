@@ -13,38 +13,30 @@ Two further modules turn the fault machinery on the static verifier
 precisely-understood illegal edits to known-good schedules, and
 :mod:`repro.faults.differential` runs verifier-vs-simulator campaigns
 demanding every corruption is flagged and no clean schedule is.
-
-PR 6 adds the *engine-level* storm (:mod:`repro.faults.storm`): timing
-faults (:class:`~repro.faults.chaos.SlowPass`,
-:class:`~repro.faults.chaos.HangingPass`), worker kills, and disk-cache
-corruption thrown at the resilient
-:class:`~repro.engine.pool.CompilationEngine` by
-:func:`run_resilience_campaign`.
+:func:`~repro.faults.corrupt.corrupt_cache_files` damages disk-cache
+entry files in place, so tests can prove the schedule cache
+quarantines and recomputes them.
 """
 
 from .campaign import CampaignReport, InjectionOutcome, run_campaign
 from .chaos import (
     FAULT_REGISTRY,
-    TIMING_FAULT_REGISTRY,
-    HangingPass,
     NaNInjector,
     RaisingPass,
-    SlowPass,
     WeightCorruptor,
     ZeroRowPass,
     make_fault,
 )
-from .corrupt import CORRUPTION_REGISTRY, EXPECTED_CODES, corrupt_schedule
+from .corrupt import (
+    CORRUPTION_REGISTRY,
+    EXPECTED_CODES,
+    corrupt_cache_files,
+    corrupt_schedule,
+)
 from .differential import (
     DifferentialReport,
     DifferentialTrial,
     run_differential_campaign,
-)
-from .storm import (
-    ResilienceReport,
-    WorkerKillScheduler,
-    corrupt_cache_files,
-    run_resilience_campaign,
 )
 
 __all__ = [
@@ -54,19 +46,13 @@ __all__ = [
     "DifferentialTrial",
     "EXPECTED_CODES",
     "FAULT_REGISTRY",
-    "HangingPass",
     "InjectionOutcome",
     "NaNInjector",
     "RaisingPass",
-    "ResilienceReport",
-    "SlowPass",
-    "TIMING_FAULT_REGISTRY",
     "WeightCorruptor",
-    "WorkerKillScheduler",
     "ZeroRowPass",
     "corrupt_cache_files",
     "corrupt_schedule",
     "make_fault",
     "run_campaign",
-    "run_resilience_campaign",
 ]

@@ -346,8 +346,7 @@ def _record_trials(
     start in the executing process, execute is the trial's own wall
     time.  Trials never touch the cache, so ``cache_status`` is always
     ``"off"``.  The chain level that produced the schedule is the
-    trial's ``degradation_level``; trials are never routed, so
-    ``route_level`` is 0.
+    trial's ``degradation_level``.
 
     Args:
         ledger: Destination flight ledger.

@@ -8,32 +8,21 @@ that models one realistic failure mode of a preference-map heuristic:
 * :class:`WeightCorruptor` — a sign bug producing negative weights;
 * :class:`ZeroRowPass` — an over-aggressive squash erasing every
   feasible slot of an instruction;
-* :class:`RaisingPass` — a plain crash in the middle of ``apply``;
-* :class:`SlowPass` — a heuristic that takes far too long (but does
-  finish), exercising cooperative deadline checks between passes;
-* :class:`HangingPass` — a heuristic stuck in a (bounded) spin loop
-  that *polls the ambient budget*, so a cooperative deadline can
-  interrupt it mid-pass; with no budget installed it exits after
-  ``hang_s`` rather than wedging the test suite.
+* :class:`RaisingPass` — a plain crash in the middle of ``apply``.
 
 All randomness is drawn from the :class:`PassContext` RNG, so fault
 campaigns replay deterministically from a seed.  These passes are for
 tests and campaigns only — they are deliberately *not* registered in
-:data:`repro.core.passes.PASS_REGISTRY`.  The timing faults live in a
-separate :data:`TIMING_FAULT_REGISTRY` so the original
-:data:`FAULT_REGISTRY` key order — which seeds campaign draws — stays
-byte-stable.
+:data:`repro.core.passes.PASS_REGISTRY`.
 """
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Dict
 
 import numpy as np
 
 from ..core.passes import PassContext, SchedulingPass
-from ..engine.resilience import active_budget
 
 
 class InjectedFault(RuntimeError):
@@ -108,51 +97,6 @@ class RaisingPass(SchedulingPass):
         raise InjectedFault(self.message)
 
 
-class SlowPass(SchedulingPass):
-    """Sleep ``delay_s`` inside ``apply`` — a heuristic that finishes,
-    eventually.
-
-    Does not corrupt anything: the damage is purely temporal.  A
-    cooperative deadline catches it *between* passes (the convergent
-    driver checks the budget before each pass), so a region carrying
-    one SlowPass overruns by at most ``delay_s``.
-    """
-
-    name = "FAULT_SLOW"
-
-    def __init__(self, delay_s: float = 0.3) -> None:
-        self.delay_s = delay_s
-
-    def apply(self, ctx: PassContext) -> None:
-        time.sleep(self.delay_s)
-
-
-class HangingPass(SchedulingPass):
-    """Spin until the ambient budget expires (or ``hang_s``, if none).
-
-    Models a heuristic wedged in a loop that still polls
-    :func:`~repro.engine.resilience.active_budget` — the cooperative
-    half of deadline enforcement.  The ``hang_s`` bound keeps an
-    unbudgeted run from wedging forever; truly uncooperative hangs
-    (which only a worker kill can stop) are modeled in campaign
-    trials with a plain long sleep instead.
-    """
-
-    name = "FAULT_HANG"
-
-    def __init__(self, hang_s: float = 5.0, poll_s: float = 0.005) -> None:
-        self.hang_s = hang_s
-        self.poll_s = poll_s
-
-    def apply(self, ctx: PassContext) -> None:
-        started = time.perf_counter()
-        while time.perf_counter() - started < self.hang_s:
-            budget = active_budget()
-            if budget is not None:
-                budget.check(f"pass {self.name}")
-            time.sleep(self.poll_s)
-
-
 #: Fault kind -> zero-argument constructor, in deterministic order.
 #: Frozen since PR 4: campaign plans draw from ``sorted(FAULT_REGISTRY)``,
 #: so adding a key here would silently reshuffle every seeded campaign.
@@ -163,26 +107,17 @@ FAULT_REGISTRY: Dict[str, Callable[[], SchedulingPass]] = {
     "raise": RaisingPass,
 }
 
-#: Timing faults (PR 6), kept apart from :data:`FAULT_REGISTRY` so the
-#: matrix-corruption campaign's seeded draws stay byte-stable.
-TIMING_FAULT_REGISTRY: Dict[str, Callable[[], SchedulingPass]] = {
-    "slow": SlowPass,
-    "hang": HangingPass,
-}
-
-
 def make_fault(kind: str) -> SchedulingPass:
     """Instantiate a chaos pass by registry kind.
 
     Args:
-        kind: A key of :data:`FAULT_REGISTRY` or
-            :data:`TIMING_FAULT_REGISTRY`.
+        kind: A key of :data:`FAULT_REGISTRY`.
 
     Returns:
         A fresh instance of the corresponding pass.
     """
-    constructor = FAULT_REGISTRY.get(kind) or TIMING_FAULT_REGISTRY.get(kind)
+    constructor = FAULT_REGISTRY.get(kind)
     if constructor is None:
-        known = ", ".join(sorted(FAULT_REGISTRY) + sorted(TIMING_FAULT_REGISTRY))
+        known = ", ".join(sorted(FAULT_REGISTRY))
         raise KeyError(f"unknown fault kind {kind!r}; known kinds: {known}") from None
     return constructor()

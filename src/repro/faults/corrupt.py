@@ -18,10 +18,15 @@ Corruptions never mutate their input; they return a fresh
 :class:`~repro.schedulers.schedule.Schedule` (or ``None`` when the kind
 does not apply to this schedule, e.g. dropping a transfer from a
 schedule that has none).
+
+:func:`corrupt_cache_files` does the same to the on-disk schedule
+cache: it damages entry files in place so tests can prove the cache
+detects, quarantines and recomputes every one of them.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import replace
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -331,3 +336,50 @@ def corrupt_schedule(
         KeyError: If ``kind`` is not a registered corruption.
     """
     return CORRUPTION_REGISTRY[kind](schedule, region, machine, rng)
+
+
+def corrupt_cache_files(
+    cache_dir: str, rng: np.random.Generator, fraction: float = 0.5
+) -> int:
+    """Vandalize a seeded subset of disk-cache entry files in place.
+
+    Four corruption modes rotate over the victims: truncation (partial
+    write), wholesale garbage (disk corruption), a single flipped byte
+    inside the JSON (silent bit rot — caught by the checksum), and a
+    version-skew rewrite (a newer writer's file format).
+
+    Args:
+        cache_dir: The cache's disk directory.
+        rng: Seeded generator choosing victims.
+        fraction: Fraction of entry files to damage.
+
+    Returns:
+        Number of files corrupted.
+    """
+    entries = sorted(
+        name
+        for name in os.listdir(cache_dir)
+        if name.endswith(".json") and os.path.isfile(os.path.join(cache_dir, name))
+    )
+    n_victims = max(1, int(len(entries) * fraction)) if entries else 0
+    victims = list(rng.choice(len(entries), size=n_victims, replace=False))
+    for mode_index, victim in enumerate(sorted(victims)):
+        path = os.path.join(cache_dir, entries[int(victim)])
+        raw = open(path, "rb").read()
+        mode = mode_index % 4
+        if mode == 0:  # truncation
+            with open(path, "wb") as fh:
+                fh.write(raw[: max(1, len(raw) // 3)])
+        elif mode == 1:  # garbage
+            with open(path, "wb") as fh:
+                fh.write(b"\x00\xffnot json at all\x80" * 4)
+        elif mode == 2:  # one-byte bit flip inside the payload
+            position = min(len(raw) - 2, (len(raw) // 2) + 5)
+            flipped = bytes([raw[position] ^ 0x20])
+            with open(path, "wb") as fh:
+                fh.write(raw[:position] + flipped + raw[position + 1 :])
+        else:  # version skew
+            text = raw.decode("utf-8", errors="replace")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text.replace('"file_version": 1', '"file_version": 999', 1))
+    return n_victims

@@ -34,10 +34,6 @@ STATUS_OK = "ok"
 STATUS_FAILED = "failed"
 #: Program-level only: some regions succeeded, some failed.
 STATUS_PARTIAL = "partial"
-#: Region-level only: the region overran its compile budget
-#: (:exc:`repro.engine.resilience.DeadlineExceeded`) and no fallback
-#: could absorb the timeout.  Counts as not-ok, like ``failed``.
-STATUS_TIMEOUT = "timeout"
 
 
 @dataclass
@@ -214,11 +210,8 @@ def _run_region(
             if not vreport.ok:
                 raise VerificationError(vreport)
     except Exception as exc:  # noqa: BLE001 - harness boundary
-        from ..engine.resilience import DeadlineExceeded
-
-        if not capture_errors and not isinstance(exc, DeadlineExceeded):
+        if not capture_errors:
             raise
-        status = STATUS_TIMEOUT if isinstance(exc, DeadlineExceeded) else STATUS_FAILED
         return (
             RegionResult(
                 region_name=region.name,
@@ -227,7 +220,7 @@ def _run_region(
                 utilization=0.0,
                 compile_seconds=time.perf_counter() - started,
                 n_instructions=len(region.ddg),
-                status=status,
+                status=STATUS_FAILED,
                 error=f"{type(exc).__name__}: {exc}",
                 verified=verified,
                 diagnostics=diagnostics,
@@ -263,8 +256,6 @@ def _record_region_metrics(
     registry.inc("regions.scheduled")
     if result.ok:
         registry.inc("regions.ok")
-    elif result.status == STATUS_TIMEOUT:
-        registry.inc("regions.timeout")
     else:
         registry.inc("regions.failed")
     registry.observe("region.compile_seconds", result.compile_seconds)
@@ -322,8 +313,8 @@ def _run_regions_engine(
         if tracer.enabled and outcome.trace_records:
             tracer.absorb(outcome.trace_records, worker=outcome.worker)
     if registry is not None:
-        # Surface what the resilient engine did for *this* run (the
-        # engine may be reused across calls, hence the delta).
+        # Surface what the engine did for *this* run (the engine may be
+        # reused across calls, hence the delta).
         for name, value in engine.telemetry.counters.items():
             delta = value - telemetry_before.get(name, 0)
             if delta:
@@ -436,9 +427,9 @@ def run_program(
             recorded simulator numbers).  Ignored when ``engine`` is
             passed: that engine's own cache applies.
         engine: Optional :class:`~repro.engine.pool.CompilationEngine`;
-            its worker count, cache, resilience policy and flight
-            ledger all apply.  It belongs to the caller and is not
-            closed, so its pool stays warm across calls.
+            its worker count, cache and flight ledger all apply.  It
+            belongs to the caller and is not closed, so its pool stays
+            warm across calls.
 
     Returns:
         The aggregated :class:`ProgramResult`.

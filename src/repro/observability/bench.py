@@ -20,7 +20,7 @@ scheduler and folds the outcome into a schema-versioned
   numpy, git SHA) plus peak RSS and the engine's ``resilience.*``
   health counters (:data:`~repro.observability.metrics.RESILIENCE_COUNTERS`),
   so a regression can be attributed to code, to the box it ran on, or
-  to an engine that had to retry/kill its way through the run.
+  to an engine that had to rescue tasks from lost workers.
 
 Snapshots live at the repository root as ``BENCH_<n>.json`` — committed
 artifacts forming a longitudinal record, in the spirit of the paper's
@@ -465,9 +465,9 @@ def run_bench(
     environment = environment_fingerprint()
     environment["jobs"] = str(engine.jobs)
     # Engine-health counters ride in the environment block (stringified,
-    # like its other fields) so every snapshot records how much resilience
-    # machinery — retries, kills, breaker trips — its numbers needed.
-    # All zeros on a healthy run, which is itself worth recording.
+    # like its other fields) so every snapshot records how many tasks
+    # its numbers needed rescued inline from a lost worker.  Zero on a
+    # healthy run, which is itself worth recording.
     from .metrics import RESILIENCE_COUNTERS
 
     for counter in RESILIENCE_COUNTERS:

@@ -1,12 +1,11 @@
 """Engine flight recorder: per-task ledger, timelines, Chrome traces.
 
 Every :class:`~repro.engine.pool.RegionTask` a
-:class:`~repro.engine.pool.CompilationEngine` finishes — on the serial,
-pooled, or resilient path — can emit one :class:`FlightRecord` into a
+:class:`~repro.engine.pool.CompilationEngine` finishes — serial or
+pooled — can emit one :class:`FlightRecord` into a
 :class:`FlightLedger`: the task's fingerprint key, cache hit/miss,
 worker pid, submit/start/finish timestamps split into queue-wait vs
-execute seconds, retry attempt, breaker state, degradation level, and
-deadline slack.  The ledger persists as JSONL through the same
+execute seconds, attempt count, and degradation level.  The ledger persists as JSONL through the same
 atomic-rename discipline as the disk cache (temp file + ``os.replace``
 in the destination directory), so a crash mid-flush can never leave a
 half-written file under the final name; :func:`read_ledger` still
@@ -64,18 +63,11 @@ class FlightRecord:
             waiting for a worker slot.
         execute_s: ``finish_s - start_s`` (clamped at 0) — time a
             process actually spent on the task.
-        attempts: Executions the task took (1 = first try succeeded).
-        route_level: Routing floor the task ran with: the larger of the
-            chain's configured ``min_level`` and its breaker's floor.
-        breaker: Breaker state (``closed``/``open``/``half-open``) for
-            the task's (scheduler, machine) cell at completion, or
-            ``None`` when breakers don't apply.
+        attempts: Executions the task took (1 = first try succeeded; 2 =
+            finished inline after its worker failed).
         degradation_level: Fallback-chain level that served the result
             (0 = primary).
-        deadline_s: Compile budget the task ran under, or ``None``.
-        deadline_slack_s: ``deadline_s - execute_s`` (negative =
-            overran), or ``None`` when unbudgeted.
-        status: Final region status (``ok``/``failed``/``timeout``).
+        status: Final region status (``ok``/``failed``).
         cycles: Simulator-verified cycle count of the result.
     """
 
@@ -92,11 +84,7 @@ class FlightRecord:
     queue_wait_s: float
     execute_s: float
     attempts: int = 1
-    route_level: int = 0
-    breaker: Optional[str] = None
     degradation_level: int = 0
-    deadline_s: Optional[float] = None
-    deadline_slack_s: Optional[float] = None
     status: str = "ok"
     cycles: int = 0
 
@@ -136,11 +124,7 @@ class FlightRecord:
             queue_wait_s=float(data.get("queue_wait_s", 0.0)),
             execute_s=float(data.get("execute_s", 0.0)),
             attempts=int(data.get("attempts", 1)),
-            route_level=int(data.get("route_level", 0)),
-            breaker=data.get("breaker"),
             degradation_level=int(data.get("degradation_level", 0)),
-            deadline_s=data.get("deadline_s"),
-            deadline_slack_s=data.get("deadline_slack_s"),
             status=str(data["status"]),
             cycles=int(data.get("cycles", 0)),
         )
@@ -419,15 +403,15 @@ def analyze_ledger(records: Sequence[FlightRecord]) -> TimelineStats:
 
 
 #: Lane glyph per final task status.
-_STATUS_GLYPHS = {"ok": "█", "failed": "×", "timeout": "!"}
+_STATUS_GLYPHS = {"ok": "█", "failed": "×"}
 
 
 def render_timeline(records: Sequence[FlightRecord], width: int = 72) -> str:
     """Render a ledger as a terminal Gantt timeline plus summary.
 
     One lane per worker pid; each task paints its ``[start, finish]``
-    span with a status glyph (``█`` ok, ``×`` failed, ``!`` timeout,
-    ``▪`` served from cache).  Below the lanes, the saturation summary
+    span with a status glyph (``█`` ok, ``×`` failed, ``▪`` served from
+    cache, ``?`` any other status).  Below the lanes, the saturation summary
     from :func:`analyze_ledger`.
 
     Args:

@@ -36,37 +36,13 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 #: fully-decided instruction (confidence = inf) cannot drown the mean.
 CONFIDENCE_CAP = 100.0
 
-#: Counter names the resilient engine records into its telemetry
-#: registry (:attr:`repro.engine.pool.CompilationEngine.telemetry`)
-#: and the bench snapshot environment.  Kept here — next to the
-#: registry — so observability consumers (bench, docs, dashboards)
-#: have one authoritative list:
-#:
-#: * ``resilience.retries`` — task attempts re-queued after a
-#:   retryable worker failure;
-#: * ``resilience.timeouts`` — tasks that overran their compile budget
-#:   (cooperatively or preemptively killed);
-#: * ``resilience.preemptive_kills`` — futures still running past
-#:   ``deadline_s`` + kill tolerance whose workers were terminated;
-#: * ``resilience.pool_respawns`` — worker pools torn down and rebuilt;
-#: * ``resilience.rescues`` — tasks finished inline in the parent after
-#:   retries were exhausted or their worker was lost;
-#: * ``resilience.breaker_trips`` — circuit breakers opened;
-#: * ``resilience.breaker_probes`` — half-open probe tasks admitted;
-#: * ``resilience.breaker_resets`` — breakers closed after a good probe;
-#: * ``resilience.breaker_routed`` — tasks routed past a tripped
-#:   breaker straight to a fallback level.
-RESILIENCE_COUNTERS = (
-    "resilience.retries",
-    "resilience.timeouts",
-    "resilience.preemptive_kills",
-    "resilience.pool_respawns",
-    "resilience.rescues",
-    "resilience.breaker_trips",
-    "resilience.breaker_probes",
-    "resilience.breaker_resets",
-    "resilience.breaker_routed",
-)
+#: Counter names the engine records into its telemetry registry
+#: (:attr:`repro.engine.pool.CompilationEngine.telemetry`) when a
+#: worker fails, also copied into the bench snapshot environment:
+#: ``resilience.rescues`` counts tasks finished inline in the parent
+#: after their worker was lost or raised.  A lost pool itself is
+#: counted by :attr:`~repro.engine.pool.CompilationEngine.pool_breaks`.
+RESILIENCE_COUNTERS = ("resilience.rescues",)
 
 #: Cache-outcome counters the engine folds into its telemetry registry,
 #: one per :meth:`repro.engine.cache.CacheStats.to_dict` field.
@@ -82,7 +58,7 @@ CACHE_COUNTERS = (
 #: Region statuses a finished task can report
 #: (:data:`repro.harness.experiment.STATUS_OK` et al. minus
 #: ``partial``, which only program-level results carry).
-ENGINE_TASK_STATUSES = ("ok", "failed", "timeout")
+ENGINE_TASK_STATUSES = ("ok", "failed")
 
 #: Per-task timing histograms the engine records, suffixed with the
 #: task's final status: ``engine.queue_wait_seconds.<status>`` is the
@@ -129,23 +105,15 @@ def _telemetry_names() -> Dict[str, str]:
     """Build the authoritative telemetry-name registry.
 
     Returns:
-        Mapping of every counter/histogram name the engine, resilience
-        layer, and cache emit into ``CompilationEngine.telemetry`` to a
+        Mapping of every counter/histogram name the engine, its
+        compile server, and the cache emit into ``CompilationEngine.telemetry`` to a
         one-line description.  ``scripts/check_counter_names.py`` audits
         this registry bidirectionally against the source and
         ``docs/telemetry.md``.
     """
     names: Dict[str, str] = {}
     descriptions = {
-        "resilience.retries": "task attempts re-queued after a retryable failure",
-        "resilience.timeouts": "tasks that overran their compile deadline",
-        "resilience.preemptive_kills": "workers terminated past deadline + tolerance",
-        "resilience.pool_respawns": "worker pools torn down and rebuilt",
-        "resilience.rescues": "tasks finished inline after retries were exhausted",
-        "resilience.breaker_trips": "circuit breakers opened",
-        "resilience.breaker_probes": "half-open probe tasks admitted",
-        "resilience.breaker_resets": "breakers closed after a good probe",
-        "resilience.breaker_routed": "tasks routed past a tripped breaker",
+        "resilience.rescues": "tasks finished inline after their worker was lost",
         "cache.hits": "schedule cache lookups answered from the cache",
         "cache.misses": "schedule cache lookups that fell through to compile",
         "cache.stores": "schedules written into the cache",
@@ -190,7 +158,7 @@ def _telemetry_names() -> Dict[str, str]:
 
 
 #: Authoritative name → description map for every telemetry counter and
-#: histogram the engine/resilience/cache layers emit; audited by
+#: histogram the engine, server and cache layers emit; audited by
 #: ``scripts/check_counter_names.py`` against both the source code and
 #: ``docs/telemetry.md``.
 TELEMETRY_NAMES: Dict[str, str] = _telemetry_names()
@@ -443,7 +411,7 @@ class MetricsRegistry:
     def observe(self, name: str, value: float) -> None:
         """Record ``value`` into histogram ``name`` (creating it).
 
-        Every engine/resilience/cache timing recorded through the
+        Every engine/cache timing recorded through the
         registry carries p50/p90/p99 for free.
 
         Args:

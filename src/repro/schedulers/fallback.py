@@ -82,11 +82,6 @@ class FallbackChain(Scheduler):
             the default convergent → list → single-cluster ladder.
         check_values: Also replay dataflow during validation (slower;
             structural validation alone already guarantees legality).
-        min_level: Routing floor: members below this level are skipped
-            (recorded as ``"skipped: circuit open"`` attempts).  The
-            resilient engine raises it when a circuit breaker has
-            tripped on this chain's primary; it is part of the cache
-            fingerprint, so routed results occupy their own cache slots.
 
     Raises:
         SchedulingError: Only when *every* scheduler in the chain fails —
@@ -99,7 +94,6 @@ class FallbackChain(Scheduler):
         self,
         schedulers: Optional[Sequence[Scheduler]] = None,
         check_values: bool = False,
-        min_level: int = 0,
     ) -> None:
         if schedulers is None:
             from ..core.convergent import ConvergentScheduler
@@ -111,11 +105,8 @@ class FallbackChain(Scheduler):
             )
         if not schedulers:
             raise ValueError("fallback chain needs at least one scheduler")
-        if min_level < 0:
-            raise ValueError("min_level must be >= 0")
         self.schedulers: List[Scheduler] = list(schedulers)
         self.check_values = check_values
-        self.min_level = min_level
         self.last_report: Optional[FallbackReport] = None
 
     @property
@@ -130,16 +121,6 @@ class FallbackChain(Scheduler):
         report = FallbackReport(region_name=region.name)
         self.last_report = report
         for level, scheduler in enumerate(self.schedulers):
-            if level < self.min_level:
-                report.attempts.append(
-                    FallbackAttempt(
-                        scheduler_name=scheduler.name,
-                        level=level,
-                        ok=False,
-                        error="skipped: circuit open",
-                    )
-                )
-                continue
             try:
                 schedule = scheduler.schedule(region, machine)
                 verdict = simulate(

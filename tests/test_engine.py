@@ -332,13 +332,12 @@ class TestNoLostRegions:
 
 
 class TestResilienceEquivalence:
-    """Resilience on, nothing misbehaving: output identical to legacy.
+    """Fallback degradation through the engine: identical everywhere.
 
-    The resilient execution path (waves, budgets, breaker routing) must
-    be invisible when nothing trips — serial, ``jobs=N``, and the
-    legacy engine all report byte-identical results — and when a chain
-    primary *does* fail, the outcome must say exactly how far down the
-    chain the result came from.
+    A caller's own engine, serial or ``jobs=N``, reports byte-identical
+    results to a run without one; and when a chain primary *does*
+    fail, the outcome says exactly how far down the chain the result
+    came from, serial and pooled alike.
     """
 
     def _chain(self, raising=False):
@@ -359,16 +358,6 @@ class TestResilienceEquivalence:
             ]
         )
 
-    def _config(self, **overrides):
-        from repro.engine import ResilienceConfig, RetryPolicy
-
-        defaults = dict(
-            deadline_s=30.0,
-            retry=RetryPolicy(base_delay_s=0.0),
-        )
-        defaults.update(overrides)
-        return ResilienceConfig(**defaults)
-
     def test_happy_path_serial_equals_jobs2_equals_legacy(self):
         machine = MACHINES["vliw4"]
         program = build_benchmark("mxm", machine)
@@ -378,29 +367,28 @@ class TestResilienceEquivalence:
                 check_values=False,
             )
         )
-        resilient_serial = scrubbed(
+        serial = scrubbed(
             run_program(
                 program, machine, make_scheduler("convergent"),
-                check_values=False,
-                engine=CompilationEngine(resilience=self._config()),
+                check_values=False, engine=CompilationEngine(),
             )
         )
-        with CompilationEngine(jobs=2, resilience=self._config()) as engine:
-            resilient_parallel = scrubbed(
+        with CompilationEngine(jobs=2) as engine:
+            parallel = scrubbed(
                 run_program(
                     program, machine, make_scheduler("convergent"),
                     check_values=False, engine=engine,
                 )
             )
-        assert resilient_serial == legacy
-        assert resilient_parallel == legacy
+        assert serial == legacy
+        assert parallel == legacy
 
     def test_degradation_level_reported_accurately(self):
         from repro.engine import RegionTask
 
         machine = MACHINES["vliw4"]
         program = build_benchmark("vvmul", machine)
-        with CompilationEngine(jobs=1, resilience=self._config()) as engine:
+        with CompilationEngine(jobs=1) as engine:
             outcomes = engine.run_tasks(
                 [
                     RegionTask(
@@ -416,55 +404,27 @@ class TestResilienceEquivalence:
         degraded, clean = outcomes
         assert degraded.result.ok and degraded.degradation_level == 1
         assert clean.result.ok and clean.degradation_level == 0
-        assert not degraded.timed_out and not clean.timed_out
 
     def test_degraded_results_still_verify_clean(self):
         machine = MACHINES["vliw4"]
         program = build_benchmark("vvmul", machine)
         result = run_program(
             program, machine, self._chain(raising=True),
-            check_values=False, verify=True,
-            engine=CompilationEngine(resilience=self._config()),
+            check_values=False, verify=True, engine=CompilationEngine(),
         )
         assert result.ok
         assert all(r.verified for r in result.regions)
 
-    def test_breaker_trips_and_routes_consecutive_failures(self):
-        from repro.engine import RegionTask
-
-        machine = MACHINES["vliw4"]
-        program = build_benchmark("vvmul", machine)
-        config = self._config(breaker_threshold=2, breaker_cooldown=2)
-        tasks = [
-            RegionTask(
-                index=i, region=program.regions[0], machine=machine,
-                scheduler=self._chain(raising=True), check_values=False,
-            )
-            for i in range(5)
-        ]
-        with CompilationEngine(jobs=1, resilience=config) as engine:
-            outcomes = engine.run_tasks(tasks)
-            counters = dict(engine.telemetry.counters)
-        assert all(o.result.ok for o in outcomes)
-        assert all(o.degradation_level == 1 for o in outcomes)
-        # Tasks 0-1 trip the breaker; task 2 is routed (min_level=1);
-        # task 3 exhausts the cooldown as a half-open probe and fails,
-        # re-tripping; task 4 is routed again.
-        assert counters["resilience.breaker_trips"] == 2
-        assert counters["resilience.breaker_routed"] == 2
-        assert counters["resilience.breaker_probes"] == 1
-
     def test_resilient_jobs2_chain_storm_matches_serial(self):
-        """Chain-wrapped chaos through a resilient pool: identical to
-        a resilient serial run, region for region."""
+        """Chain-wrapped chaos through a pool: identical to a serial
+        run, region for region."""
         machine = MACHINES["vliw4"]
         program = build_benchmark("fir", machine)
         serial = run_program(
             program, machine, self._chain(raising=True),
-            check_values=False,
-            engine=CompilationEngine(resilience=self._config()),
+            check_values=False, engine=CompilationEngine(),
         )
-        with CompilationEngine(jobs=2, resilience=self._config()) as engine:
+        with CompilationEngine(jobs=2) as engine:
             parallel = run_program(
                 program, machine, self._chain(raising=True),
                 check_values=False, engine=engine,

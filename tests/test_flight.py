@@ -11,8 +11,8 @@ Four families:
 * **ledger crash-safety** — flush is atomic, and a truncated or
   corrupt trailing JSONL line is skipped with a counted warning,
   mirroring the schedule cache's quarantine-not-crash policy;
-* **engine integration** — every task the engine runs (inline, pooled,
-  resilient) emits exactly one record, and a ledger-on run is
+* **engine integration** — every task the engine runs (inline or
+  pooled) emits exactly one record, and a ledger-on run is
   result-identical to a ledger-off run;
 * **timeline / trend / CLI** — saturation analysis on synthetic
   ledgers, Chrome trace-event shape, cross-snapshot trend flags, and
@@ -33,7 +33,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cli import main
 from repro.engine import CompilationEngine
-from repro.engine.resilience import ResilienceConfig
 from repro.harness import run_program
 from repro.harness.results import program_result_to_dict
 from repro.machine import ClusteredVLIW
@@ -255,10 +254,39 @@ class TestLedgerRoundTrip:
         assert records == ledger.records
 
     def test_record_dict_round_trip_tags(self):
-        record = _record(3, status="timeout", deadline_s=0.5, deadline_slack_s=-0.1)
+        record = _record(3, status="failed", attempts=2, degradation_level=1)
         data = record.to_dict()
         assert data["kind"] == "flight" and data["schema"] == 1
         assert FlightRecord.from_dict(data) == record
+
+    def test_pre_change_ledger_line_still_loads_and_renders(self, tmp_path):
+        """A ledger written while the engine still had deadlines and
+        circuit breakers carries four fields and a status the record no
+        longer has; it must still read and render."""
+        line = (
+            '{"attempts": 2, "breaker": "open", "cache_status": "off", '
+            '"cycles": 0, "deadline_s": 0.25, "deadline_slack_s": -0.04, '
+            '"degradation_level": 0, "execute_s": 0.29, "fingerprint": null, '
+            '"finish_s": 1700000000.3, "index": 3, "kind": "flight", '
+            '"machine": "raw4x4", "queue_wait_s": 0.01, "region": "storm_r3", '
+            '"route_level": 1, "scheduler": "fallback", "schema": 1, '
+            '"start_s": 1700000000.01, "status": "timeout", '
+            '"submit_s": 1700000000.0, "worker": 4242}'
+        )
+        record = FlightRecord.from_dict(json.loads(line))
+        assert record == _record(
+            3, region="storm_r3", machine="raw4x4", scheduler="fallback",
+            worker=4242, submit=1700000000.0, start=1700000000.01,
+            finish=1700000000.3, queue_wait_s=0.01, execute_s=0.29,
+            attempts=2, status="timeout",
+        )
+        path = tmp_path / "old.jsonl"
+        path.write_text(line + "\n")
+        records, skipped = read_ledger(str(path))
+        assert skipped == 0 and records == [record]
+        text = render_timeline(records, width=32)
+        assert "w4242" in text and "?" in text
+        assert "tasks 1" in text
 
     def test_from_dict_rejects_missing_required(self):
         data = _record().to_dict()
@@ -370,23 +398,38 @@ class TestEngineLedger:
         assert all(r.worker > 0 for r in ledger.records)
         assert all(r.submit_s > 0 for r in ledger.records)
 
-    def test_resilient_run_records_breaker_state(self):
+    def test_chain_run_records_degradation_level(self):
         machine = ClusteredVLIW(4)
         program = build_benchmark("vvmul", machine)
-        from repro.schedulers.fallback import FallbackChain
-
-        # Breakers only apply to routable schedulers (min_level), so
-        # the resilient path must run a FallbackChain to see one.
-        ledger = FlightLedger()
-        result = run_program(
-            program, machine, FallbackChain(check_values=False),
-            check_values=False,
-            engine=CompilationEngine(resilience=ResilienceConfig(), ledger=ledger),
+        from repro.core import ConvergentScheduler
+        from repro.faults import make_fault
+        from repro.schedulers import (
+            FallbackChain,
+            SingleClusterScheduler,
+            UnifiedAssignAndSchedule,
         )
-        assert result.ok
-        assert len(ledger) == len(program.regions)
-        assert ledger.records[0].breaker == "closed"
-        assert ledger.records[0].attempts >= 1
+
+        def chain(raising):
+            passes = [make_fault("raise")] if raising else None
+            return FallbackChain(
+                [
+                    ConvergentScheduler(passes=passes, seed=0, guard=False),
+                    UnifiedAssignAndSchedule(),
+                    SingleClusterScheduler(),
+                ],
+                check_values=False,
+            )
+
+        for raising, level in ((False, 0), (True, 1)):
+            ledger = FlightLedger()
+            result = run_program(
+                program, machine, chain(raising), check_values=False,
+                engine=CompilationEngine(ledger=ledger),
+            )
+            assert result.ok
+            assert len(ledger) == len(program.regions)
+            assert all(r.degradation_level == level for r in ledger.records)
+            assert all(r.attempts == 1 for r in ledger.records)
 
     def test_engine_histograms_always_on(self):
         machine = ClusteredVLIW(4)
@@ -406,7 +449,7 @@ class TestEngineLedger:
         assert "p50" in execute
 
     def test_emitted_histogram_names_are_documented(self):
-        for status in ("ok", "failed", "timeout"):
+        for status in ("ok", "failed"):
             assert f"engine.queue_wait_seconds.{status}" in TELEMETRY_NAMES
             assert f"engine.execute_seconds.{status}" in TELEMETRY_NAMES
 
@@ -430,8 +473,7 @@ class TestCampaignLedger:
         assert statuses <= {"ok", "failed"}
 
     def test_rows_carry_the_fallback_level_as_degradation(self):
-        """A trial's chain level is how far it degraded, not a routing
-        floor: trials are never routed."""
+        """A trial's chain level is how far it degraded."""
         from repro.faults import run_campaign
 
         machine = ClusteredVLIW(4)
@@ -444,7 +486,6 @@ class TestCampaignLedger:
         levels = [o.fallback_level for o in report.outcomes]
         assert any(level >= 1 for level in levels)
         assert [r.degradation_level for r in ledger.records] == levels
-        assert all(r.route_level == 0 for r in ledger.records)
 
 
 class TestTimelineAnalysis:

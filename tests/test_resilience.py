@@ -1,12 +1,11 @@
-"""Resilience layer: deadlines, retries, breakers, crash-safe caching.
+"""Resilience: worker loss, the crash-safe disk cache, hardened verbs.
 
-Unit coverage for :mod:`repro.engine.resilience` plus the seams it is
-woven through: the convergent driver's cooperative budget checks, the
-pass guard's deadline re-raise, the fallback chain's routing floor, the
-checksummed/quarantining disk cache, the deadline-aware fingerprint,
-the harness's ``timeout`` status, and the hardened CLI verbs.  The
-at-scale behavior (waves, kills, respawns) lives in
-``tests/test_engine.py`` and ``benchmarks/test_engine_stress.py``.
+What is left of the engine's failure handling once every path runs one
+attempt per task: a task whose worker is lost (or that captures its
+errors) is finished inline in the parent, and a corrupt disk-cache
+entry is quarantined and recomputed.  Also the hardened CLI verbs'
+exit codes.  The at-scale behavior (a hard-killed worker among 200
+regions) lives in ``benchmarks/test_engine_stress.py``.
 """
 
 from __future__ import annotations
@@ -15,39 +14,22 @@ import json
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
+import numpy as np
 import pytest
 
 from repro.cli import EXIT_CONFIG, EXIT_FAILURE, EXIT_OK, main
 from repro.core import ConvergentScheduler
 from repro.engine import (
-    BREAKER_CLOSED,
-    BREAKER_HALF_OPEN,
-    BREAKER_OPEN,
-    BreakerBoard,
-    Budget,
-    CircuitBreaker,
     CompilationEngine,
-    DeadlineExceeded,
     RegionTask,
-    ResilienceConfig,
-    RetryPolicy,
     ScheduleCache,
-    active_budget,
-    budget_scope,
     schedule_key,
 )
-from repro.faults import (
-    TIMING_FAULT_REGISTRY,
-    HangingPass,
-    SlowPass,
-    make_fault,
-)
+from repro.faults import corrupt_cache_files
 from repro.harness import run_program
-from repro.harness.experiment import STATUS_TIMEOUT
 from repro.ir import RegionBuilder
 from repro.ir.regions import Program
 from repro.machine import ClusteredVLIW
-from repro.observability.flight import FlightLedger
 from repro.observability.metrics import RESILIENCE_COUNTERS, MetricsRegistry
 from repro.schedulers import (
     FallbackChain,
@@ -66,260 +48,6 @@ def _region(name="rsl", n=10):
         values.append(b.fadd(values[-1], values[-2]))
     b.live_out(values[-1])
     return b.build()
-
-
-def _expired_budget():
-    """A budget that was already overspent before it was created."""
-    return Budget(deadline_s=0.05, started=-1e9)
-
-
-class TestBudget:
-    def test_fresh_budget_is_not_expired(self):
-        budget = Budget(deadline_s=60.0)
-        assert not budget.expired
-        assert budget.remaining() > 0
-        budget.check("anywhere")  # must not raise
-
-    def test_expired_budget_checks_raise_with_location(self):
-        budget = _expired_budget()
-        assert budget.expired
-        assert budget.remaining() < 0
-        with pytest.raises(DeadlineExceeded, match="pass COMM"):
-            budget.check("pass COMM")
-
-    def test_scope_installs_and_restores(self):
-        assert active_budget() is None
-        outer = Budget(deadline_s=60.0)
-        inner = Budget(deadline_s=1.0)
-        with budget_scope(outer):
-            assert active_budget() is outer
-            with budget_scope(inner):
-                assert active_budget() is inner
-            assert active_budget() is outer
-        assert active_budget() is None
-
-    def test_scope_restores_on_exception(self):
-        with pytest.raises(RuntimeError):
-            with budget_scope(Budget(deadline_s=60.0)):
-                raise RuntimeError("boom")
-        assert active_budget() is None
-
-
-class TestRetryPolicy:
-    def test_backoff_is_deterministic_and_grows(self):
-        policy = RetryPolicy(base_delay_s=0.1, multiplier=2.0, jitter=0.5)
-        d2 = policy.delay_for(2, key="regionA")
-        d3 = policy.delay_for(3, key="regionA")
-        assert d2 == policy.delay_for(2, key="regionA")
-        assert 0.1 <= d2 <= 0.15
-        assert 0.2 <= d3 <= 0.3
-        assert policy.delay_for(2, key="regionB") != d2  # jitter varies by key
-
-    def test_zero_base_delay_disables_sleeping(self):
-        assert RetryPolicy(base_delay_s=0.0).delay_for(5, key="x") == 0.0
-
-    def test_classification(self):
-        policy = RetryPolicy()
-        assert policy.is_retryable(EOFError())
-        assert policy.is_retryable(BrokenPipeError())
-        assert policy.is_retryable(OSError("pipe"))
-        assert not policy.is_retryable(DeadlineExceeded("late"))
-        assert not policy.is_retryable(ValueError("bad schedule"))
-        broken = type("BrokenProcessPool", (RuntimeError,), {})()
-        assert policy.is_retryable(broken)
-
-    def test_max_attempts_validated(self):
-        with pytest.raises(ValueError):
-            RetryPolicy(max_attempts=0)
-
-
-class TestCircuitBreaker:
-    def test_trips_after_consecutive_failures_only(self):
-        breaker = CircuitBreaker(failure_threshold=3, cooldown_tasks=2)
-        breaker.record(False)
-        breaker.record(False)
-        breaker.record(True)  # success resets the streak
-        breaker.record(False)
-        breaker.record(False)
-        assert breaker.state == BREAKER_CLOSED
-        breaker.record(False)
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 1
-
-    def test_open_routes_then_probes_then_resets(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_tasks=2)
-        breaker.record(False)
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.route() == 1  # cooldown task 1: routed
-        assert breaker.route() == 0  # cooldown exhausted: probe
-        assert breaker.state == BREAKER_HALF_OPEN
-        assert breaker.probes == 1
-        breaker.record(True)
-        assert breaker.state == BREAKER_CLOSED
-        assert breaker.resets == 1
-
-    def test_failed_probe_reopens(self):
-        breaker = CircuitBreaker(failure_threshold=1, cooldown_tasks=1)
-        breaker.record(False)
-        assert breaker.route() == 0  # immediate probe (cooldown 1)
-        breaker.record(False)
-        assert breaker.state == BREAKER_OPEN
-        assert breaker.trips == 2
-
-    def test_board_keys_cells_independently(self):
-        board = BreakerBoard(failure_threshold=1, cooldown_tasks=1)
-        one = board.breaker("fallback", "vliw4")
-        two = board.breaker("fallback", "raw4x4")
-        assert one is board.breaker("fallback", "vliw4")
-        assert one is not two
-        one.record(False)
-        assert board.total_trips == 1
-        assert board.snapshot() == {
-            "fallback@raw4x4": BREAKER_CLOSED,
-            "fallback@vliw4": BREAKER_OPEN,
-        }
-
-
-class TestCooperativeDeadline:
-    def test_bare_convergent_raises_between_passes(self):
-        region = _region("deadline_bare")
-        with budget_scope(_expired_budget()):
-            with pytest.raises(DeadlineExceeded):
-                ConvergentScheduler(seed=0).schedule(region, MACHINE)
-
-    def test_guard_does_not_swallow_the_deadline(self):
-        region = _region("deadline_guarded")
-        scheduler = ConvergentScheduler(seed=0, guard=True)
-        with budget_scope(_expired_budget()):
-            with pytest.raises(DeadlineExceeded):
-                scheduler.schedule(region, MACHINE)
-
-    def test_fallback_chain_absorbs_into_degradation(self):
-        region = _region("deadline_chain")
-        chain = FallbackChain(
-            [
-                ConvergentScheduler(seed=0),
-                UnifiedAssignAndSchedule(),
-                SingleClusterScheduler(),
-            ]
-        )
-        with budget_scope(_expired_budget()):
-            schedule = chain.schedule(region, MACHINE)
-        assert schedule is not None
-        assert chain.last_level == 1
-        assert "DeadlineExceeded" in chain.last_report.attempts[0].error
-
-    def test_hanging_pass_is_interrupted_by_the_budget(self):
-        region = _region("deadline_hang")
-        passes = [HangingPass(hang_s=30.0)]
-        scheduler = ConvergentScheduler(passes=passes, seed=0)
-        with budget_scope(Budget(deadline_s=0.05)):
-            with pytest.raises(DeadlineExceeded):
-                scheduler.schedule(region, MACHINE)
-
-    def test_unbudgeted_hanging_pass_exits_after_hang_s(self):
-        region = _region("deadline_nohang")
-        scheduler = ConvergentScheduler(
-            passes=[HangingPass(hang_s=0.02)], seed=0
-        )
-        assert scheduler.schedule(region, MACHINE) is not None
-
-
-class TestTimingFaultRegistry:
-    def test_timing_kinds_live_apart_from_the_frozen_registry(self):
-        from repro.faults import FAULT_REGISTRY
-
-        assert sorted(FAULT_REGISTRY) == ["nan", "negative", "raise", "zero_row"]
-        assert sorted(TIMING_FAULT_REGISTRY) == ["hang", "slow"]
-        assert isinstance(make_fault("slow"), SlowPass)
-        assert isinstance(make_fault("hang"), HangingPass)
-        with pytest.raises(KeyError, match="hang"):
-            make_fault("nonsense")
-
-
-class TestChainRoutingFloor:
-    def test_min_level_skips_members_and_records_it(self):
-        region = _region("routed")
-        chain = FallbackChain(
-            [
-                ConvergentScheduler(seed=0),
-                UnifiedAssignAndSchedule(),
-                SingleClusterScheduler(),
-            ],
-            min_level=1,
-        )
-        schedule = chain.schedule(region, MACHINE)
-        assert schedule is not None
-        assert chain.last_level == 1
-        first = chain.last_report.attempts[0]
-        assert not first.ok and "circuit open" in first.error
-
-    def test_min_level_validated(self):
-        with pytest.raises(ValueError):
-            FallbackChain([UnifiedAssignAndSchedule()], min_level=-1)
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_engine_keeps_the_configured_floor(self, jobs):
-        """The engine raises a chain's floor to a breaker's, never
-        lowers it: every region is served by the second member."""
-        program = Program("floorp", [_region(f"fl_r{i}") for i in range(3)])
-        chain = FallbackChain(
-            [
-                ConvergentScheduler(seed=0),
-                UnifiedAssignAndSchedule(),
-                SingleClusterScheduler(),
-            ],
-            min_level=1,
-        )
-        ledger = FlightLedger()
-        with CompilationEngine(jobs=jobs, ledger=ledger) as engine:
-            result = run_program(
-                program, MACHINE, chain, check_values=False, engine=engine,
-            )
-        expected = run_program(
-            program, MACHINE, UnifiedAssignAndSchedule(), check_values=False,
-        )
-        assert result.ok
-        assert [r.cycles for r in result.regions] == [
-            r.cycles for r in expected.regions
-        ]
-        assert len(ledger.records) == len(program.regions)
-        assert all(r.degradation_level >= 1 for r in ledger.records)
-        assert chain.min_level == 1
-
-
-class TestDeadlineFingerprint:
-    def test_deadline_changes_the_key_only_when_set(self):
-        region = _region("fp")
-        scheduler = UnifiedAssignAndSchedule()
-        plain = schedule_key(region, MACHINE, scheduler)
-        same = schedule_key(region, MACHINE, scheduler, deadline_s=None)
-        budgeted = schedule_key(region, MACHINE, scheduler, deadline_s=0.25)
-        other = schedule_key(region, MACHINE, scheduler, deadline_s=0.5)
-        assert plain.key == same.key  # legacy keys unchanged
-        assert budgeted.key != plain.key
-        assert budgeted.key != other.key
-
-    def test_min_level_changes_the_chain_key(self):
-        region = _region("fp_chain")
-        plain = schedule_key(
-            region, MACHINE, FallbackChain([UnifiedAssignAndSchedule()])
-        )
-        routed = schedule_key(
-            region,
-            MACHINE,
-            FallbackChain([UnifiedAssignAndSchedule()], min_level=0),
-        )
-        floor = schedule_key(
-            region,
-            MACHINE,
-            FallbackChain(
-                [SingleClusterScheduler(), UnifiedAssignAndSchedule()],
-                min_level=1,
-            ),
-        )
-        assert plain.key == routed.key
-        assert floor.key != plain.key
 
 
 def _put_entry(cache, region):
@@ -411,62 +139,51 @@ class TestCrashSafeCache:
             "entries": 0, "bytes": 0, "quarantined": 0, "tmp_files": 0,
         }
 
+    def test_corrupted_store_is_quarantined_and_warm_run_matches_cold(
+        self, tmp_path
+    ):
+        """Damage half a filled store in four ways; a warm run detects,
+        quarantines and recomputes every victim, reports exactly the
+        cold run's numbers, and leaves a store that verifies clean."""
+        rng = np.random.default_rng(17)
+        program = Program("corruptp")
+        for r in range(12):
+            b = RegionBuilder(f"corrupt_r{r}")
+            values = [b.li(float(rng.integers(1, 9))) for _ in range(2)]
+            for _ in range(int(rng.integers(6, 14))):
+                op = ("fadd", "fmul", "fsub", "add")[int(rng.integers(4))]
+                x = values[int(rng.integers(len(values)))]
+                y = values[int(rng.integers(len(values)))]
+                values.append(getattr(b, op)(x, y))
+            b.live_out(values[-1])
+            program.add(b.build())
 
-class TestHarnessIntegration:
-    def test_timeout_status_and_counters(self):
-        program = Program("timeoutp", [_region("to_r0"), _region("to_r1")])
-        registry = MetricsRegistry()
-        result = run_program(
-            program,
-            MACHINE,
-            ConvergentScheduler(seed=0),
-            check_values=False,
-            capture_errors=True,
-            registry=registry,
-            engine=CompilationEngine(resilience=ResilienceConfig(deadline_s=1e-9)),
-        )
-        assert not result.ok
-        assert all(r.status == STATUS_TIMEOUT for r in result.regions)
-        assert all("DeadlineExceeded" in r.error for r in result.regions)
-        counters = registry.counters
-        assert counters["regions.timeout"] == 2
-        assert counters["resilience.timeouts"] == 2
+        def run(cache):
+            chain = FallbackChain(
+                [
+                    ConvergentScheduler(seed=0),
+                    UnifiedAssignAndSchedule(),
+                    SingleClusterScheduler(),
+                ],
+                check_values=False,
+            )
+            result = run_program(
+                program, MACHINE, chain, check_values=False, cache=cache
+            )
+            return [(r.status, r.cycles, r.transfers) for r in result.regions]
 
-    def test_chain_degrades_instead_of_timing_out(self):
-        program = Program("degradep", [_region("dg_r0")])
-        chain = FallbackChain(
-            [
-                ConvergentScheduler(
-                    passes=[SlowPass(delay_s=0.2)], seed=0
-                ),
-                UnifiedAssignAndSchedule(),
-                SingleClusterScheduler(),
-            ]
-        )
-        registry = MetricsRegistry()
-        result = run_program(
-            program,
-            MACHINE,
-            chain,
-            check_values=False,
-            registry=registry,
-            engine=CompilationEngine(resilience=ResilienceConfig(deadline_s=0.05)),
-        )
-        assert result.ok
-        assert registry.counters.get("resilience.timeouts", 0) == 0
-
-    def test_resilience_counter_names_are_registered(self):
-        assert "resilience.retries" in RESILIENCE_COUNTERS
-        assert "resilience.breaker_trips" in RESILIENCE_COUNTERS
-        assert len(set(RESILIENCE_COUNTERS)) == len(RESILIENCE_COUNTERS)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            ResilienceConfig(deadline_s=0.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(kill_tolerance_s=-1.0)
-        with pytest.raises(ValueError):
-            ResilienceConfig(max_pool_respawns=-1)
+        cold = run(ScheduleCache(disk_dir=tmp_path))
+        assert all(status == "ok" for status, _, _ in cold)
+        damaged = corrupt_cache_files(str(tmp_path), np.random.default_rng(23))
+        assert damaged == 6
+        warm_cache = ScheduleCache(disk_dir=tmp_path)
+        assert run(warm_cache) == cold
+        assert warm_cache.stats.quarantined > 0
+        report = warm_cache.verify_disk()
+        assert report["corrupt"] == 0
+        assert report["version_skew"] == 0
+        assert warm_cache.gc()["quarantine_removed"] > 0
+        assert warm_cache.disk_stats()["quarantined"] == 0
 
 
 class _SubmitBreaksOnSecondCall:
@@ -513,6 +230,110 @@ class TestBrokenPoolAtSubmit:
         assert all(o.result.ok for o in outcomes)
 
 
+class _FailingFutures:
+    """Executor stand-in whose futures fail with the given exceptions.
+
+    ``errors[i]`` is the exception the ``i``-th submitted task's future
+    reports (``None`` runs the task in-process).
+    """
+
+    def __init__(self, errors):
+        self.errors = list(errors)
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        error = self.errors[self.calls]
+        self.calls += 1
+        future = Future()
+        if error is None:
+            future.set_result(fn(*args))
+        else:
+            future.set_exception(error)
+        return future
+
+    def shutdown(self, wait=True, cancel_futures=False):
+        pass
+
+
+def _tasks(n, capture_errors=False):
+    return [
+        RegionTask(
+            index=i, region=_region(f"we_r{i}"), machine=MACHINE,
+            scheduler=UnifiedAssignAndSchedule(), check_values=False,
+            capture_errors=capture_errors,
+        )
+        for i in range(n)
+    ]
+
+
+class TestWorkerErrors:
+    def test_infrastructure_errors_are_rescued_inline(self):
+        """A lost worker or a broken pipe is not the task's fault: the
+        parent finishes the task, even one that captures no errors."""
+        errors = [
+            None,
+            EOFError(),
+            OSError("pipe"),
+            ConnectionResetError(),
+            BrokenProcessPool("A child process terminated abruptly"),
+            BrokenProcessPool("A child process terminated abruptly"),
+        ]
+        tasks = _tasks(len(errors))
+        with CompilationEngine(jobs=2) as engine:
+            engine._executor = _FailingFutures(errors)
+            outcomes = engine.run_tasks(tasks)
+            assert engine.pool_breaks == 1
+            assert engine.telemetry.counters["resilience.rescues"] == 5
+        assert all(o.result.ok for o in outcomes)
+        assert [o.attempts for o in outcomes] == [1, 2, 2, 2, 2, 2]
+        expected = [
+            run_program(
+                Program("one", [t.region]), MACHINE, UnifiedAssignAndSchedule(),
+                check_values=False,
+            ).cycles
+            for t in tasks
+        ]
+        assert [o.result.cycles for o in outcomes] == expected
+
+    def test_task_errors_propagate_unless_captured(self):
+        with CompilationEngine(jobs=2) as engine:
+            engine._executor = _FailingFutures([ValueError("bad schedule")])
+            with pytest.raises(ValueError, match="bad schedule"):
+                engine.run_tasks(_tasks(1))
+        with CompilationEngine(jobs=2) as engine:
+            engine._executor = _FailingFutures([ValueError("bad schedule")])
+            (outcome,) = engine.run_tasks(_tasks(1, capture_errors=True))
+            assert engine.pool_breaks == 0
+            assert engine.telemetry.counters["resilience.rescues"] == 1
+        assert outcome.result.ok and outcome.attempts == 2
+
+
+class TestHarnessIntegration:
+    def test_resilience_counter_names_are_registered(self):
+        assert RESILIENCE_COUNTERS == ("resilience.rescues",)
+
+    def test_rescues_reach_the_callers_registry(self):
+        """``run_program`` folds the engine's rescue count into the
+        caller's registry, and the rescued region still compiles."""
+        program = Program("rescuep", [_region("rs_r0"), _region("rs_r1")])
+        registry = MetricsRegistry()
+        with CompilationEngine(jobs=2) as engine:
+            engine._executor = _FailingFutures([None, EOFError()])
+            result = run_program(
+                program, MACHINE, UnifiedAssignAndSchedule(),
+                check_values=False, registry=registry, engine=engine,
+            )
+        expected = run_program(
+            program, MACHINE, UnifiedAssignAndSchedule(), check_values=False,
+        )
+        assert result.ok
+        assert [r.cycles for r in result.regions] == [
+            r.cycles for r in expected.regions
+        ]
+        assert registry.counters["resilience.rescues"] == 1
+        assert registry.counters["regions.ok"] == 2
+
+
 class TestHardenedCli:
     def test_cache_stats_verify_gc_round_trip(self, tmp_path, capsys):
         cache = ScheduleCache(disk_dir=tmp_path)
@@ -531,7 +352,7 @@ class TestHardenedCli:
         assert "no such cache directory" in capsys.readouterr().err
 
     def test_bad_machine_spec_is_a_config_error(self, capsys):
-        code = main(["resilience", "--machine", "bogus", "--regions", "2"])
+        code = main(["faults", "--machine", "bogus", "--trials", "2"])
         assert code == EXIT_CONFIG
         assert "unknown machine" in capsys.readouterr().err
 
@@ -542,16 +363,6 @@ class TestHardenedCli:
         ])
         assert code == EXIT_OK
         assert "campaign" in capsys.readouterr().out
-
-    def test_small_resilience_storm_through_cli(self, tmp_path, capsys):
-        code = main([
-            "resilience", "--regions", "12", "--jobs", "2",
-            "--deadline", "0.3", "--seed", "3",
-            "--cache-dir", str(tmp_path / "storm-cache"),
-        ])
-        assert code == EXIT_OK
-        assert "verdict:             OK" in capsys.readouterr().out
-
 
 class TestFailFastCampaign:
     def test_fail_fast_runs_everything_when_nothing_crashes(self):
